@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ClusterError, NetworkPartitionedError, NodeUnavailableError
 
@@ -249,9 +249,13 @@ class SimulatedCluster:
         return old
 
 
+def approx_values_bytes(values: Iterable[Any]) -> int:
+    """Rough serialised size of a run of values — a row, a column, a group
+    key: strings ship their text plus a terminator, everything else 8 bytes.
+    The one sizing rule behind every transfer the SOE accounts for."""
+    return sum(len(value) + 1 if isinstance(value, str) else 8 for value in values)
+
+
 def approx_row_bytes(row: Any) -> int:
-    """Rough serialised size of one row for transfer accounting."""
-    total = 2
-    for value in row:
-        total += len(value) + 1 if isinstance(value, str) else 8
-    return total
+    """Rough serialised size of one row (values plus a 2-byte row header)."""
+    return 2 + approx_values_bytes(row)

@@ -4,18 +4,21 @@
 a client's aggregate/join query arrives here, becomes a task DAG, and
 fans out to the v2lqp query services before partial results merge back.
 
-Translates a query into a task DAG (see :mod:`repro.soe.tasks`), dispatches
-tasks to the query services hosting the partitions, charges every
-cross-node result transfer to the cluster's network model, and merges the
-partial results. "These plans can lead to strong speedup results compared
+Translates a query into one task DAG (see :mod:`repro.soe.tasks`) and then
+only plans, ships and merges: worker tasks run on the query services
+(every row is filtered, joined and accumulated there, by the one generated
+kernel of :mod:`repro.soe.codegen`), every edge between nodes is charged to
+the cluster's network model, and the DAG's last task merges the partial
+states here. "These plans can lead to strong speedup results compared
 to single machine execution ... if the plans are specifically tailored for
 a clustered execution in combination with efficient communication
 algorithms" [13] — hence the three join strategies (broadcast,
-repartition, co-located) whose communication volumes benchmark E7
-compares.
+repartition, co-located): the same ``build_hash`` → ``join_partial``
+tasks, differing only in who ships what to whom, whose communication
+volumes benchmark E7 compares.
 
 **Observability:** every distributed plan runs inside
-:meth:`Coordinator._plan`, the single place where ``PlanCost.wall_seconds``
+:meth:`Coordinator._execute`, the single place where ``PlanCost.wall_seconds``
 is measured (via :func:`repro.obs.timed`) and where per-strategy request
 counters and latency histograms feed v2stats — wall-time accounting
 cannot drift between the aggregate and the three join code paths.
@@ -23,9 +26,8 @@ cannot drift between the aggregate and the three join code paths.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable
 
 from repro import obs
 from repro.errors import (
@@ -36,8 +38,7 @@ from repro.errors import (
     TransferDroppedError,
 )
 from repro.soe.cluster import SimulatedCluster
-from repro.soe.codegen import finalize_groups, merge_group_states
-from repro.soe.partitions import route_row
+from repro.soe.codegen import finalize_groups, merge_group_states, merge_hash_tables
 from repro.soe.services.catalog_service import CatalogService
 from repro.soe.services.query_service import QueryService
 from repro.soe.services.transaction_broker import TransactionBroker
@@ -111,7 +112,7 @@ class PlanCost:
 class Coordinator:
     """The v2dqp service instance.
 
-    **Failure awareness:** every strategy body runs under
+    **Failure awareness:** every plan runs under
     :meth:`_recover` — a transient failure (dead node, dropped transfer,
     chaos crash) triggers a bounded re-plan-and-retry with exponential
     backoff charged to the *simulated* clock. Re-planning recomputes
@@ -149,29 +150,6 @@ class Coordinator:
         self.query_services[service.node_id] = service
 
     # -- helpers -------------------------------------------------------------------
-
-    @contextmanager
-    def _plan(self, strategy: str) -> Iterator[PlanCost]:
-        """One distributed plan execution: the single wall-clock.
-
-        Yields the :class:`PlanCost` the strategy fills in; on exit the
-        measured wall time lands on ``cost.wall_seconds`` and — when
-        observability is enabled — on the ``soe.coordinator.plan_seconds``
-        histogram and the ``soe.coordinator.plans`` counter (per strategy),
-        the numbers v2stats reads.
-        """
-        cost = PlanCost(strategy=strategy)
-        self._deadline_at = (
-            self.clock.now + self.deadline_seconds
-            if self.deadline_seconds is not None
-            else None
-        )
-        with obs.timed("soe.coordinator.plan_seconds", strategy=strategy) as timer:
-            yield cost
-        cost.wall_seconds = timer.seconds
-        obs.count("soe.coordinator.plans", strategy=strategy)
-        obs.count("soe.coordinator.bytes_shipped", cost.bytes_shipped, strategy=strategy)
-        obs.count("soe.coordinator.tasks", cost.tasks, strategy=strategy)
 
     def _check_deadline(self) -> None:
         """Abort the query once the simulated clock passes its budget.
@@ -211,12 +189,13 @@ class Coordinator:
         assert last is not None
         raise last
 
-    def _transfer(
-        self, source: str, target: str, payload_bytes: int, cost: PlanCost
-    ) -> float:
-        """One charged transfer with bounded resend: a dropped message
-        (chaos) is resent under the retry policy rather than failing the
-        whole plan; every resend pays backoff on the simulated clock."""
+    def _transfer(self, source: str, target: str, result: Any, cost: PlanCost) -> float:
+        """Move one task result between nodes: one charged transfer with
+        bounded resend — a dropped message (chaos) is resent under the
+        retry policy rather than failing the whole plan; every resend pays
+        backoff on the simulated clock. A node-local hand-off is free, so
+        it is not sized either."""
+        payload_bytes = QueryService.result_bytes(result) if source != target else 0
         last: TransferDroppedError | None = None
         for attempt, delay in self.retry_policy.schedule():
             if attempt:
@@ -317,17 +296,28 @@ class Coordinator:
                 service.data_node.catch_up(target)
 
     def _run_dag(self, dag: TaskDag, cost: PlanCost) -> dict[int, Any]:
+        """Execute a plan in dependency order: ship every edge (charged),
+        run worker tasks on their query service, merge at the coordinator."""
         results: dict[int, Any] = {}
         for task in dag.topological_order():
             inputs: dict[int, Any] = {}
             for input_id in task.inputs:
                 producer = dag.tasks[input_id]
                 result = results[input_id]
-                payload = QueryService.result_bytes(result)
-                self._transfer(producer.node_id, task.node_id, payload, cost)
+                if producer.kind == "scan_ship":
+                    # a shuffle edge carries only the consumer's bucket,
+                    # and nothing when no row hashed there
+                    result = result.get(task.params["bucket"])
+                    if result is None:
+                        continue
+                self._transfer(producer.node_id, task.node_id, result, cost)
                 inputs[input_id] = result
-            if task.kind in ("merge_aggregate", "collect"):
-                results[task.task_id] = [inputs[input_id] for input_id in task.inputs]
+            if task.kind == "merge_aggregate":
+                results[task.task_id] = merge_group_states(
+                    list(inputs.values()), task.params["aggregates"]
+                )
+            elif task.kind == "merge_hash":
+                results[task.task_id] = merge_hash_tables(list(inputs.values()))
             else:
                 results[task.task_id] = self._service_for(task.node_id).execute(
                     task, inputs
@@ -335,20 +325,59 @@ class Coordinator:
             cost.tasks += 1
         return results
 
+    def _execute(
+        self,
+        strategy: str,
+        tables: list[str],
+        query: Any,
+        place: Callable[[TaskDag, Any, PlanCost], list[int]],
+    ) -> tuple[list[list[Any]], PlanCost]:
+        """One distributed plan execution, under recovery: the single
+        wall-clock. Every attempt re-plans — ``place`` puts the strategy's
+        worker tasks on a fresh DAG and returns the ids of those producing
+        partial states; the tail all plans share ships these to the
+        coordinator, merges and finalizes them.
+
+        The measured wall time lands on ``cost.wall_seconds`` and — when
+        observability is enabled — on the ``soe.coordinator.plan_seconds``
+        histogram and the ``soe.coordinator.plans`` counter (per strategy),
+        the numbers v2stats reads.
+        """
+        cost = PlanCost(strategy=strategy)
+        self._deadline_at = (
+            self.clock.now + self.deadline_seconds
+            if self.deadline_seconds is not None
+            else None
+        )
+
+        def attempt() -> list[list[Any]]:
+            self._ensure_fresh(tables, query.consistency)
+            dag = TaskDag()
+            merge = dag.add(
+                "merge_aggregate",
+                self.node_id,
+                {"aggregates": query.aggregates},
+                place(dag, query, cost),
+            )
+            return finalize_groups(self._run_dag(dag, cost)[merge.task_id], query.aggregates)
+
+        with obs.timed("soe.coordinator.plan_seconds", strategy=strategy) as timer:
+            rows = self._recover(cost, attempt)
+        cost.wall_seconds = timer.seconds
+        obs.count("soe.coordinator.plans", strategy=strategy)
+        obs.count("soe.coordinator.bytes_shipped", cost.bytes_shipped, strategy=strategy)
+        obs.count("soe.coordinator.tasks", cost.tasks, strategy=strategy)
+        return rows, cost
+
     # -- aggregate queries -----------------------------------------------------------
 
     def run_aggregate(self, query: AggregateQuery) -> tuple[list[list[Any]], PlanCost]:
         """Partial aggregation at the data, merge at the coordinator."""
-        with self._plan("partial-aggregate") as cost:
-            rows = self._recover(cost, lambda: self._aggregate_body(query, cost))
-        return rows, cost
+        return self._execute("partial-aggregate", [query.table], query, self._place_aggregate)
 
-    def _aggregate_body(self, query: AggregateQuery, cost: PlanCost) -> list[list[Any]]:
-        self._ensure_fresh([query.table], query.consistency)
-        dag = TaskDag()
-        partial_ids = []
-        for node_id, partition_ids in self._assignments(query.table, cost).items():
-            task = dag.add(
+    def _place_aggregate(self, dag: TaskDag, query: AggregateQuery, cost: PlanCost) -> list[int]:
+        return [
+            dag.add(
                 "partial_aggregate",
                 node_id,
                 {
@@ -358,12 +387,9 @@ class Coordinator:
                     "group_by": list(query.group_by),
                     "aggregates": list(query.aggregates),
                 },
-            )
-            partial_ids.append(task.task_id)
-        merge = dag.add("merge_aggregate", self.node_id, {}, partial_ids)
-        results = self._run_dag(dag, cost)
-        merged = merge_group_states(results[merge.task_id], list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
+            ).task_id
+            for node_id, partition_ids in self._assignments(query.table, cost).items()
+        ]
 
     # -- join queries ---------------------------------------------------------------------
 
@@ -371,24 +397,14 @@ class Coordinator:
         strategy = query.strategy
         if strategy == "auto":
             strategy = self._choose_join_strategy(query)
-        bodies = {
-            "broadcast": self._join_broadcast_body,
-            "repartition": self._join_repartition_body,
-            "colocated": self._join_colocated_body,
-        }
-        body = bodies.get(strategy)
-        if body is None:
+        place = {
+            "broadcast": self._place_broadcast,
+            "repartition": self._place_repartition,
+            "colocated": self._place_colocated,
+        }.get(strategy)
+        if place is None:
             raise CoordinationError(f"unknown join strategy {strategy!r}")
-        with self._plan(strategy) as cost:
-
-            def attempt() -> list[list[Any]]:
-                self._ensure_fresh(
-                    [query.fact_table, query.dim_table], query.consistency
-                )
-                return body(query, cost)
-
-            rows = self._recover(cost, attempt)
-        return rows, cost
+        return self._execute(strategy, [query.fact_table, query.dim_table], query, place)
 
     def _choose_join_strategy(self, query: JoinQuery) -> str:
         fact_meta = self.catalog.table(query.fact_table)
@@ -419,75 +435,47 @@ class Coordinator:
             total += sum(len(store.partition(table, pid)) for pid in partition_ids)
         return total
 
-    def _dim_payload_columns(self, query: JoinQuery) -> list[str]:
-        return [query.group_column]
+    @staticmethod
+    def _join_sides(query: JoinQuery) -> tuple[dict[str, Any], dict[str, Any]]:
+        """The build (dim) and probe (fact) side of a join as task params:
+        each names its table, its join key and the columns the join reads
+        besides the key. A plan adds what places a task — the local
+        ``partitions`` it reads (and pins) or the shuffle ``bucket`` it is
+        shipped — so the strategies differ only in who ships what to whom."""
+        dim = {
+            "table": query.dim_table,
+            "partitions": (),
+            "key_column": query.dim_key,
+            "columns": [query.group_column],
+        }
+        fact = {
+            "table": query.fact_table,
+            "partitions": (),
+            "key_column": query.fact_key,
+            "columns": [a.column for a in query.aggregates if a.column is not None],
+            "aggregates": list(query.aggregates),
+        }
+        return dim, fact
 
-    def _join_broadcast_body(self, query: JoinQuery, cost: PlanCost) -> list[list[Any]]:
+    def _place_broadcast(self, dag: TaskDag, query: JoinQuery, cost: PlanCost) -> list[int]:
         """Gather the dim side once, broadcast it to every fact node."""
-        dag = TaskDag()
-        # 1. hash-build tasks on the dim hosts
-        build_ids = []
-        for node_id, partition_ids in self._assignments(query.dim_table, cost).items():
-            task = dag.add(
-                "build_hash",
-                node_id,
-                {
-                    "table": query.dim_table,
-                    "partitions": partition_ids,
-                    "key_column": query.dim_key,
-                    "columns": self._dim_payload_columns(query),
-                },
-            )
-            build_ids.append(task.task_id)
-        # 2. gather at coordinator (transfers charged by the DAG runner)
-        gather = dag.add("collect", self.node_id, {}, build_ids)
-        results = self._run_dag(dag, cost)
-        full_hash: dict[Any, list[tuple]] = {}
-        for part in results[gather.task_id]:
-            for key, rows in part.items():
-                full_hash.setdefault(key, []).extend(rows)
+        dim, fact = self._join_sides(query)
+        build_ids = [
+            dag.add("build_hash", node_id, {**dim, "partitions": partition_ids}).task_id
+            for node_id, partition_ids in self._assignments(query.dim_table, cost).items()
+        ]
+        # the edges out of the gathered table are the broadcast
+        gather = dag.add("merge_hash", self.node_id, {}, build_ids)
+        return [
+            dag.add(
+                "join_partial", node_id, {**fact, "partitions": partition_ids}, [gather.task_id]
+            ).task_id
+            for node_id, partition_ids in self._assignments(query.fact_table, cost).items()
+        ]
 
-        # 3. broadcast + probe on each fact node
-        dag2 = TaskDag()
-        probe_ids = []
-        hash_bytes = QueryService.result_bytes(full_hash)
-        for node_id, partition_ids in self._assignments(query.fact_table, cost).items():
-            self._transfer(self.node_id, node_id, hash_bytes, cost)
-            virtual_input = dag2.add("collect", node_id, {})
-            probe = dag2.add(
-                "join_partial",
-                node_id,
-                {
-                    "table": query.fact_table,
-                    "partitions": partition_ids,
-                    "fact_key": query.fact_key,
-                    "group_from_dim": 0,
-                    "aggregates": list(query.aggregates),
-                },
-                [virtual_input.task_id],
-            )
-            probe_ids.append(probe.task_id)
-        # pre-seed virtual inputs with the broadcast hash (no extra charge)
-        results2: dict[int, Any] = {}
-        for task in dag2.topological_order():
-            if task.kind == "collect" and not task.inputs:
-                results2[task.task_id] = full_hash
-                continue
-            inputs = {input_id: results2[input_id] for input_id in task.inputs}
-            results2[task.task_id] = self._service_for(task.node_id).execute(
-                task, inputs
-            )
-            cost.tasks += 1
-        partials = [results2[task_id] for task_id in probe_ids]
-        for task_id in probe_ids:
-            producer = dag2.tasks[task_id]
-            payload = QueryService.result_bytes(results2[task_id])
-            self._transfer(producer.node_id, self.node_id, payload, cost)
-        merged = merge_group_states(partials, list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
-
-    def _join_repartition_body(self, query: JoinQuery, cost: PlanCost) -> list[list[Any]]:
-        """Ship both sides hashed on the join key to worker nodes."""
+    def _place_repartition(self, dag: TaskDag, query: JoinQuery, cost: PlanCost) -> list[int]:
+        """Ship both sides hashed on the join key to worker nodes, then
+        join each bucket on its worker like a co-located plan."""
         if self.failover:
             workers = [
                 node_id
@@ -498,124 +486,40 @@ class Coordinator:
             workers = sorted(self.query_services)
         if not workers:
             raise CoordinationError("no live workers for a repartition join")
-        worker_count = len(workers)
 
-        def shuffle(table: str, key_column: str, columns: list[str]) -> list[dict[Any, list[tuple]]]:
-            dag = TaskDag()
-            ship_ids = []
-            for node_id, partition_ids in self._assignments(table, cost).items():
-                task = dag.add(
+        def shuffle(side: dict[str, Any]) -> list[int]:
+            """Every host splits its rows of one side into a prepackaged
+            partition per worker; the edges to the workers' tasks ship them."""
+            return [
+                dag.add(
                     "scan_ship",
                     node_id,
-                    {"table": table, "partitions": partition_ids, "columns": columns},
-                )
-                ship_ids.append((task.task_id, node_id))
-            results = self._run_dag(dag, cost)
-            buckets: list[dict[Any, list[tuple]]] = [dict() for _ in range(worker_count)]
-            key_position = columns.index(key_column)
-            for task_id, source_node in ship_ids:
-                rows = results[task_id]
-                per_worker_rows: list[list[tuple]] = [[] for _ in range(worker_count)]
-                for row in rows:
-                    bucket = route_row(row, [key_position], worker_count)
-                    per_worker_rows[bucket].append(row)
-                for bucket, bucket_rows in enumerate(per_worker_rows):
-                    if not bucket_rows:
-                        continue
-                    payload = sum(
-                        sum(len(v) + 1 if isinstance(v, str) else 8 for v in row)
-                        for row in bucket_rows
-                    )
-                    target_node = workers[bucket]
-                    self._transfer(source_node, target_node, payload, cost)
-                    for row in bucket_rows:
-                        buckets[bucket].setdefault(row[key_position], []).append(row)
-            return buckets
+                    {**side, "partitions": partition_ids, "buckets": len(workers)},
+                ).task_id
+                for node_id, partition_ids in self._assignments(side["table"], cost).items()
+            ]
 
-        agg_columns = [a.column for a in query.aggregates if a.column is not None]
-        fact_columns = [query.fact_key] + agg_columns
-        dim_columns = [query.dim_key, query.group_column]
-        fact_buckets = shuffle(query.fact_table, query.fact_key, fact_columns)
-        dim_buckets = shuffle(query.dim_table, query.dim_key, dim_columns)
+        dim, fact = self._join_sides(query)
+        fact_ids, dim_ids = shuffle(fact), shuffle(dim)
+        probe_ids = []
+        for bucket, worker in enumerate(workers):
+            built = dag.add("build_hash", worker, {**dim, "bucket": bucket}, dim_ids)
+            probe_ids.append(
+                dag.add(
+                    "join_partial", worker, {**fact, "bucket": bucket}, [built.task_id, *fact_ids]
+                ).task_id
+            )
+        return probe_ids
 
-        # local join + aggregate per worker bucket, merge at coordinator
-        partials = []
-        for bucket_index in range(worker_count):
-            # availability seam: the bucket's worker must be reachable
-            self._service_for(workers[bucket_index])
-            groups: dict[tuple, list[Any]] = {}
-            dim_bucket = dim_buckets[bucket_index]
-            for key, fact_rows in fact_buckets[bucket_index].items():
-                dim_rows = dim_bucket.get(key)
-                if not dim_rows:
-                    continue
-                for dim_row in dim_rows:
-                    group_key = (dim_row[1],)
-                    for fact_row in fact_rows:
-                        states = groups.get(group_key)
-                        if states is None:
-                            states = [
-                                0 if a.op == "count" else [0.0, 0] if a.op == "avg" else None
-                                for a in query.aggregates
-                            ]
-                            groups[group_key] = states
-                        value_cursor = 1
-                        for index, aggregate in enumerate(query.aggregates):
-                            if aggregate.op == "count" and aggregate.column is None:
-                                states[index] += 1
-                                continue
-                            value = fact_row[value_cursor]
-                            value_cursor += 1
-                            if value is None:
-                                continue
-                            if aggregate.op == "sum":
-                                states[index] = value if states[index] is None else states[index] + value
-                            elif aggregate.op == "count":
-                                states[index] += 1
-                            elif aggregate.op == "avg":
-                                states[index][0] += value
-                                states[index][1] += 1
-                            elif aggregate.op == "min":
-                                states[index] = value if states[index] is None or value < states[index] else states[index]
-                            elif aggregate.op == "max":
-                                states[index] = value if states[index] is None or value > states[index] else states[index]
-            partials.append(groups)
-            payload = QueryService.result_bytes(groups)
-            self._transfer(workers[bucket_index], self.node_id, payload, cost)
-        merged = merge_group_states(partials, list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
-
-    def _join_colocated_body(self, query: JoinQuery, cost: PlanCost) -> list[list[Any]]:
+    def _place_colocated(self, dag: TaskDag, query: JoinQuery, cost: PlanCost) -> list[int]:
         """Both sides hash-partitioned on the join key with aligned
         placement: join entirely node-locally, ship only partial states."""
-        fact_assign = self._assignments(query.fact_table, cost)
-        dag = TaskDag()
+        dim, fact = self._join_sides(query)
         probe_ids = []
-        for node_id, partition_ids in fact_assign.items():
-            build = dag.add(
-                "build_hash",
-                node_id,
-                {
-                    "table": query.dim_table,
-                    "partitions": partition_ids,
-                    "key_column": query.dim_key,
-                    "columns": self._dim_payload_columns(query),
-                },
+        for node_id, partition_ids in self._assignments(query.fact_table, cost).items():
+            placed = {"partitions": partition_ids}
+            built = dag.add("build_hash", node_id, {**dim, **placed})
+            probe_ids.append(
+                dag.add("join_partial", node_id, {**fact, **placed}, [built.task_id]).task_id
             )
-            probe = dag.add(
-                "join_partial",
-                node_id,
-                {
-                    "table": query.fact_table,
-                    "partitions": partition_ids,
-                    "fact_key": query.fact_key,
-                    "group_from_dim": 0,
-                    "aggregates": list(query.aggregates),
-                },
-                [build.task_id],
-            )
-            probe_ids.append(probe.task_id)
-        merge = dag.add("merge_aggregate", self.node_id, {}, probe_ids)
-        results = self._run_dag(dag, cost)
-        merged = merge_group_states(results[merge.task_id], list(query.aggregates))
-        return finalize_groups(merged, list(query.aggregates))
+        return probe_ids

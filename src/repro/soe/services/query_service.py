@@ -2,10 +2,13 @@
 
 "At the core is the SAP HANA SOE local query processing executable (v2lqp)
 which contains a query and a data service." The query service executes
-coordinator tasks against the node-local prepackaged partitions, compiling
-each task's kernel first (see :mod:`repro.soe.codegen`); the data service
-(:class:`~repro.soe.replication.DataNode`) owns the partitions and applies
-the shared log.
+coordinator tasks against the node-local prepackaged partitions — or, for
+a repartition join, against the bucket shipped to it — compiling each
+task's kernel first: aggregates and join probes alike run
+:func:`repro.soe.codegen.run_partial_aggregate`, this module only picks
+the partitions and builds hash tables and shuffle buckets. The data
+service (:class:`~repro.soe.replication.DataNode`) owns the partitions and
+applies the shared log.
 
 **Role in the query path:** the leaf executor of the SOE — the v2dqp
 coordinator's task DAG lands here, one task at a time, and only partial
@@ -19,17 +22,20 @@ the v2stats service reads to spot hotspots.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro import obs
 from repro.errors import CoordinationError
+from repro.soe.cluster import approx_values_bytes
 from repro.soe.codegen import (
     GroupStates,
+    HashTable,
     estimate_states_bytes,
     run_partial_aggregate,
 )
+from repro.soe.partitions import PrepackagedPartition, route_row
 from repro.soe.replication import DataNode
-from repro.soe.tasks import AggregateSpec, Filter, Task
+from repro.soe.tasks import Task
 
 
 class QueryService:
@@ -50,13 +56,12 @@ class QueryService:
         with obs.latency("soe.query_service.task_seconds", kind=task.kind, node=self.node_id):
             # pin the task's partitions so a concurrent partition move
             # cannot trim a retained donor copy out from under this scan
-            with self.data_node.pinned(
-                task.params.get("table"), task.params.get("partitions", ())
-            ):
+            # (a task over shipped buckets names none and pins nothing)
+            with self.data_node.pinned(task.params["table"], task.params["partitions"]):
                 if task.kind == "partial_aggregate":
                     return self._partial_aggregate(task)
                 if task.kind == "build_hash":
-                    return self._build_hash(task)
+                    return self._build_hash(task, inputs)
                 if task.kind == "join_partial":
                     return self._join_partial(task, inputs)
                 if task.kind == "scan_ship":
@@ -67,125 +72,91 @@ class QueryService:
 
     # -- kernels ------------------------------------------------------------------
 
-    def _local_partitions(self, table: str, partition_ids: list[int]) -> list[Any]:
+    def _partitions(
+        self, task: Task, shipped: Iterable[PrepackagedPartition] = ()
+    ) -> list[PrepackagedPartition]:
+        """What a task reads: the local partitions its params name, then
+        the shuffle buckets shipped to it. Only local reads count into
+        ``rows_processed`` — the per-node load v2stats balances on."""
         store = self.data_node.store
-        return [store.partition(table, pid) for pid in partition_ids]
+        table = task.params["table"]
+        partitions = [store.partition(table, pid) for pid in task.params["partitions"]]
+        self.rows_processed += sum(len(partition) for partition in partitions)
+        return [*partitions, *shipped]
 
     def _partial_aggregate(self, task: Task) -> GroupStates:
         params = task.params
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        self.rows_processed += sum(len(p) for p in partitions)
         return run_partial_aggregate(
-            partitions,
-            [Filter(*f) if not isinstance(f, Filter) else f for f in params.get("filters", [])],
-            list(params.get("group_by", [])),
-            [AggregateSpec(*a) if not isinstance(a, AggregateSpec) else a for a in params["aggregates"]],
+            self._partitions(task),
+            params["filters"],
+            params["group_by"],
+            params["aggregates"],
         )
 
-    def _build_hash(self, task: Task) -> dict[Any, list[tuple]]:
-        """Materialise a (small) table side as key → rows."""
+    def _build_hash(self, task: Task, inputs: dict[int, Any]) -> HashTable:
+        """Materialise a (small) table side as join key → group keys; NULL
+        keys join nothing and are left out."""
         params = task.params
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        key_column = params["key_column"]
-        payload_columns = params["columns"]
-        table_hash: dict[Any, list[tuple]] = {}
-        for partition in partitions:
-            self.rows_processed += len(partition)
-            key_pos = partition.columns.index(key_column.lower())
-            payload_pos = [partition.columns.index(c.lower()) for c in payload_columns]
-            for row in partition.rows():
-                key = row[key_pos]
-                if key is None:
-                    continue
-                table_hash.setdefault(key, []).append(
-                    tuple(row[p] for p in payload_pos)
-                )
+        table_hash: HashTable = {}
+        for partition in self._partitions(task, inputs.values()):
+            keys = partition.column_list(params["key_column"])
+            group_keys = zip(*(partition.column_list(c) for c in params["columns"]))
+            for key, group_key in zip(keys, group_keys):
+                if key is not None:
+                    table_hash.setdefault(key, []).append(group_key)
         return table_hash
 
     def _join_partial(self, task: Task, inputs: dict[int, Any]) -> GroupStates:
-        """Probe local fact partitions against a shipped hash table, then
-        aggregate — the broadcast-join inner task."""
+        """Probe the fact partitions against the hash table (the first
+        input) and aggregate: the partial-aggregate kernel's probe variant."""
         params = task.params
-        hash_input = inputs[task.inputs[0]]
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        group_source = params["group_from_dim"]     # index into dim payload
-        fact_key = params["fact_key"]
-        agg_specs = [AggregateSpec(*a) if not isinstance(a, AggregateSpec) else a for a in params["aggregates"]]
-        value_columns = [a.column for a in agg_specs]
-        groups: GroupStates = {}
-        for partition in partitions:
-            self.rows_processed += len(partition)
-            key_pos = partition.columns.index(fact_key.lower())
-            value_pos = [
-                partition.columns.index(c.lower()) if c is not None else None
-                for c in value_columns
-            ]
-            for row in partition.rows():
-                matches = hash_input.get(row[key_pos])
-                if not matches:
-                    continue
-                for dim_payload in matches:
-                    key = (dim_payload[group_source],)
-                    states = groups.get(key)
-                    if states is None:
-                        states = [
-                            0 if a.op == "count" else [0.0, 0] if a.op == "avg" else None
-                            for a in agg_specs
-                        ]
-                        groups[key] = states
-                    for index, aggregate in enumerate(agg_specs):
-                        if aggregate.op == "count" and aggregate.column is None:
-                            states[index] += 1
-                            continue
-                        value = row[value_pos[index]]
-                        if value is None:
-                            continue
-                        if aggregate.op == "count":
-                            states[index] += 1
-                        elif aggregate.op == "sum":
-                            states[index] = value if states[index] is None else states[index] + value
-                        elif aggregate.op == "avg":
-                            states[index][0] += value
-                            states[index][1] += 1
-                        elif aggregate.op == "min":
-                            states[index] = value if states[index] is None or value < states[index] else states[index]
-                        elif aggregate.op == "max":
-                            states[index] = value if states[index] is None or value > states[index] else states[index]
-        return groups
+        hash_table, *shipped = inputs.values()
+        return run_partial_aggregate(
+            self._partitions(task, shipped),
+            [],
+            [],
+            params["aggregates"],
+            probe=(params["key_column"], hash_table),
+        )
 
-    def _scan_ship(self, task: Task) -> list[tuple]:
-        """Project local rows for repartitioning (ships whole tuples)."""
+    def _scan_ship(self, task: Task) -> dict[int, PrepackagedPartition]:
+        """Project local rows onto the key and payload columns and hash-
+        partition them on the key for a repartition shuffle: bucket → one
+        prepackaged (column-wise) partition, ready to ship; empty buckets
+        are left out."""
         params = task.params
-        partitions = self._local_partitions(params["table"], params["partitions"])
-        columns = params["columns"]
-        out: list[tuple] = []
-        for partition in partitions:
-            self.rows_processed += len(partition)
-            positions = [partition.columns.index(c.lower()) for c in columns]
-            for row in partition.rows():
-                out.append(tuple(row[p] for p in positions))
-        return out
+        columns = list(dict.fromkeys([params["key_column"], *params["columns"]]))
+        key_positions, bucket_count = [0], params["buckets"]
+        bucket_rows: list[list[tuple]] = [[] for _ in range(bucket_count)]
+        for partition in self._partitions(task):
+            for row in zip(*(partition.column_list(c) for c in columns)):
+                bucket_rows[route_row(row, key_positions, bucket_count)].append(row)
+        return {
+            bucket: PrepackagedPartition.from_payload(
+                {
+                    "table": params["table"],
+                    "partition_id": bucket,
+                    "columns": columns,
+                    "data": dict(zip(columns, zip(*rows))),
+                }
+            )
+            for bucket, rows in enumerate(bucket_rows)
+            if rows
+        }
 
     # -- result sizing (for network accounting) -------------------------------------
 
     @staticmethod
     def result_bytes(result: Any) -> int:
-        if isinstance(result, dict):
-            first = next(iter(result.values()), None)
-            if isinstance(first, list) and first and isinstance(first[0], tuple):
-                # hash table: key -> payload tuples
-                total = 0
-                for key, rows in result.items():
-                    total += len(key) + 1 if isinstance(key, str) else 8
-                    for row in rows:
-                        total += sum(
-                            len(v) + 1 if isinstance(v, str) else 8 for v in row
-                        )
-                return total
-            return estimate_states_bytes(result)
-        if isinstance(result, list):
-            total = 0
-            for row in result:
-                total += sum(len(v) + 1 if isinstance(v, str) else 8 for v in row)
-            return total
-        return 64
+        """Shipped size of a task result: a prepackaged partition, a hash
+        table, or partial-aggregate states."""
+        if isinstance(result, PrepackagedPartition):
+            return sum(
+                approx_values_bytes(result.column_list(name)) for name in result.columns
+            )
+        first = next(iter(result.values()), None)
+        if isinstance(first, list) and first and isinstance(first[0], tuple):
+            return approx_values_bytes(result) + sum(
+                approx_values_bytes(row) for rows in result.values() for row in rows
+            )
+        return estimate_states_bytes(result)

@@ -42,7 +42,9 @@ class Task:
     """One node-assigned unit of work in the DAG."""
 
     task_id: int
-    kind: str               # partial_aggregate | merge_aggregate | build_hash | join_partial | collect
+    #: on a worker: partial_aggregate | build_hash | join_partial | scan_ship;
+    #: at the coordinator: merge_hash | merge_aggregate
+    kind: str
     node_id: str
     params: dict[str, Any] = field(default_factory=dict)
     inputs: list[int] = field(default_factory=list)

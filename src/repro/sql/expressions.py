@@ -160,10 +160,8 @@ def _compare_object(left: np.ndarray, right: np.ndarray, op: str) -> np.ndarray:
     """Element-wise comparison with None treated as 'never matches'."""
     out = np.zeros(len(left), dtype=bool)
     for index in range(len(left)):
-        a = left[index] if left.dtype == object or True else left[index]
-        b = right[index]
-        a = _to_python(a)
-        b = _to_python(b)
+        a = _to_python(left[index])
+        b = _to_python(right[index])
         if a is None or b is None:
             continue
         try:

@@ -123,6 +123,36 @@ class TestChaosDrivenRecovery:
         assert cost.failovers >= 1
         assert not soe.cluster.node("worker0").alive
 
+    @pytest.mark.parametrize("strategy", ["repartition", "colocated"])
+    def test_probe_worker_crash_recovers_via_replan(self, strategy):
+        """A worker dying at its probe — for a repartition join that is
+        after the shuffle shipped it its bucket — is re-planned like any
+        other task failure, identically for every strategy and every run."""
+
+        def run(plan: FaultPlan):
+            controller = ChaosController(plan)
+            soe = build_soe(replication=2, chaos=controller)
+            soe.create_table("sensors", ["sensor_id", "kind"], ["sensor_id"], partition_count=6)
+            soe.load("sensors", [[i, f"k{i % 2}"] for i in range(600)])
+            rows, cost = soe.join(
+                "readings", "sensors", "sensor_id", "sensor_id", "kind",
+                [("sum", "value")], strategy=strategy,
+            )
+            return sorted(rows), cost, controller
+
+        baseline, clean_cost, clean = run(FaultPlan())
+        assert clean_cost.retries == 0
+        # the last worker task of every join plan is a probe
+        last_probe = clean.events_seen("service") - 1
+        plan = FaultPlan([FaultSpec("crash", "service", last_probe)])
+        rows, cost, controller = run(plan)
+        assert rows == baseline
+        assert cost.retries == 1
+        assert cost.failovers >= 1
+        assert [event.kind for event in controller.fired] == ["crash"]
+        replay = run(plan)[2]
+        assert replay.schedule_fingerprint() == controller.schedule_fingerprint()
+
     def test_tick_schedule_kill_and_revive(self):
         plan = FaultPlan.kill_schedule(
             seed=42, ticks=20, rate=0.3, nodes=["worker0", "worker1", "worker2"]

@@ -38,16 +38,42 @@ def test_null_filter_column_drops_row():
 
 
 def test_kernel_cache_reuses_compiled_function():
-    signature_args = (
-        ("g", "v"),
-        (Filter("v", ">", 1),),
-        ("g",),
-        (AggregateSpec("sum", "v"),),
-    )
-    first = compile_aggregate_kernel(*signature_args)
-    second = compile_aggregate_kernel(*signature_args)
-    assert first is second
+    shape = (("g", "v"), (Filter("v", ">", 1),), ("g",), (AggregateSpec("sum", "v"),))
+    first = compile_aggregate_kernel(*shape)
+    assert first is compile_aggregate_kernel(*shape)
     assert "def _kernel" in first.generated_source
+
+    # filter literals are read from _consts at run time: one kernel per
+    # (column, op), not one per literal
+    partition = make_partition([["a", 1.0], ["a", 2.0], ["b", 10.0]])
+    aggregates = [AggregateSpec("sum", "v")]
+    answers = [
+        run_partial_aggregate([partition], [Filter("v", ">", literal)], ["g"], aggregates)
+        for literal in (1.5, 5.0)
+    ]
+    assert answers == [{("a",): [2.0], ("b",): [10.0]}, {("b",): [10.0]}]
+    other_literal = (shape[0], (Filter("v", ">", 5.0),), *shape[2:])
+    assert compile_aggregate_kernel(*other_literal) is first
+
+    # the probe variant (a join) is a distinct cache entry of the same generator
+    probe = compile_aggregate_kernel(*shape, probe_key="g")
+    assert probe is not first
+    assert probe is compile_aggregate_kernel(*shape, probe_key="g")
+    assert "_hash.get(" in probe.generated_source
+    assert "_hash.get(" not in first.generated_source
+
+
+def test_probe_kernel_groups_by_hash_payload():
+    partition = make_partition([["a", 1.0], ["b", 2.0], [None, 4.0], ["z", 8.0], ["a", None]])
+    hash_table = {"a": [("x",), ("y",)], "b": [("x",)]}
+    groups = run_partial_aggregate(
+        [partition],
+        [],
+        [],
+        [AggregateSpec("count"), AggregateSpec("sum", "v")],
+        probe=("g", hash_table),
+    )
+    assert groups == {("x",): [3, 3.0], ("y",): [2, 1.0]}
 
 
 def test_merge_group_states_all_ops():

@@ -80,6 +80,36 @@ class TestHappyPath:
         assert all(owners == 1 for _, owners, _ in observed)
         assert all(count == 600 for _, _, count in observed)
 
+    def test_repartition_join_runs_at_every_phase_boundary(self):
+        # the join's bucket tasks read shipped partitions, not local ones:
+        # they must neither pin nor look up the partition being moved
+        soe = build_soe()
+        soe.create_table("d", ["k", "grp"], ["k"], partition_count=6)
+        soe.load("d", [[i, f"g{i % 3}"] for i in range(600)])
+
+        def join() -> list[list]:
+            rows, _cost = soe.join(
+                "t", "d", "k", "k", "grp", [("count", None), ("sum", "v")],
+                strategy="repartition",
+            )
+            return rows
+
+        reference = [
+            [f"g{g}", 200, float(sum(i for i in range(600) if i % 3 == g))] for g in range(3)
+        ]
+        assert join() == reference
+        observed: list[str] = []
+
+        def hook(state: MoveState) -> None:
+            assert join() == reference, state.phase
+            observed.append(state.phase)
+
+        mover = soe.make_mover(phase_hook=hook)
+        state = mover.move("t", partition_on(soe, "worker0"), "worker0", "worker1")
+        assert not state.aborted
+        assert observed == list(PHASES)
+        assert join() == reference
+
     def test_concurrent_inserts_are_caught_up(self):
         soe = build_soe()
         pid = partition_on(soe, "worker0")
