@@ -33,36 +33,6 @@ _NUMERIC_INT = (TypeCode.INTEGER, TypeCode.BIGINT)
 _NUMERIC_FLOAT = (TypeCode.DOUBLE, TypeCode.DECIMAL)
 
 
-def _materialise(dictionary: Dictionary, vids: np.ndarray, dtype: DataType) -> np.ndarray:
-    """Decode value ids into an analysis-friendly NumPy array.
-
-    Numeric columns decode to ``int64`` (``float64`` with NaN when NULLs
-    are present); everything else decodes to an object array holding exact
-    Python values with ``None`` for NULL.
-    """
-    has_null = bool(len(vids)) and bool((vids == NULL_VID).any())
-    if dtype.code in _NUMERIC_INT and not has_null:
-        lookup = np.asarray(dictionary.values, dtype=np.int64)
-        if len(lookup) == 0:
-            return np.empty(0, dtype=np.int64)
-        return lookup[vids]
-    if dtype.code in _NUMERIC_INT or dtype.code in _NUMERIC_FLOAT:
-        lookup = np.empty(len(dictionary) + 1, dtype=np.float64)
-        lookup[:-1] = np.asarray(dictionary.values, dtype=np.float64) if len(dictionary) else []
-        lookup[-1] = np.nan
-        return lookup[vids]  # NULL_VID == -1 indexes the trailing NaN
-    if dtype.code is TypeCode.BOOLEAN and not has_null:
-        lookup = np.asarray(dictionary.values, dtype=bool)
-        if len(lookup) == 0:
-            return np.empty(0, dtype=bool)
-        return lookup[vids]
-    lookup = np.empty(len(dictionary) + 1, dtype=object)
-    for vid, value in enumerate(dictionary.values):
-        lookup[vid] = value
-    lookup[-1] = None
-    return lookup[vids]
-
-
 class MainColumn:
     """Immutable dictionary-encoded, compressed column fragment."""
 
@@ -77,6 +47,7 @@ class MainColumn:
         self.encoded: EncodedVector = (
             encoded if encoded is not None else BitPackedVector(np.empty(0, dtype=np.int64))
         )
+        self._lookup: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -107,9 +78,36 @@ class MainColumn:
         """The full decoded value-id vector."""
         return self.encoded.decode()
 
+    def lookup(self) -> np.ndarray:
+        """The decode table: ``lookup()[vids]`` is the analysis array.
+
+        INTEGER/BIGINT decode to ``int64``, DOUBLE/DECIMAL — and integers
+        once the fragment holds a NULL — to ``float64`` with NaN, BOOLEAN
+        without NULLs to ``bool``; everything else to an object array of
+        exact Python values with ``None`` for NULL. Tables that can meet a
+        NULL carry it in a trailing slot, which :data:`NULL_VID` (-1)
+        indexes. Built once per fragment: a main fragment is immutable
+        and the merge replaces it wholesale, so nothing invalidates it.
+        """
+        if self._lookup is None:
+            values = self.dictionary.values
+            has_null = bool(self.encoded.scan_eq(NULL_VID).any())
+            code = self.dtype.code
+            if code in _NUMERIC_INT and not has_null:
+                self._lookup = np.asarray(values, dtype=np.int64)
+            elif code in _NUMERIC_INT or code in _NUMERIC_FLOAT:
+                self._lookup = np.append(np.asarray(values, dtype=np.float64), np.nan)
+            elif code is TypeCode.BOOLEAN and not has_null:
+                self._lookup = np.asarray(values, dtype=bool)
+            else:
+                self._lookup = np.fromiter(
+                    (*values, None), dtype=object, count=len(values) + 1
+                )
+        return self._lookup
+
     def array(self) -> np.ndarray:
         """Decode the whole fragment to an analysis array."""
-        return _materialise(self.dictionary, self.vids(), self.dtype)
+        return self.lookup()[self.vids()]
 
     def values_at(self, positions: np.ndarray) -> list[Any]:
         """Exact Python values at the given positions."""

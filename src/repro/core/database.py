@@ -35,6 +35,7 @@ from repro.sql import ast
 from repro.sql import plancache
 from repro.sql.context import ExecutionContext
 from repro.sql.executor import execute as execute_plan
+from repro.sql.executor import filter_positions
 from repro.sql.expressions import Batch, evaluate
 from repro.sql.feedback import CardinalityFeedback, ReplanSignal
 from repro.sql.functions import FunctionRegistry
@@ -450,20 +451,12 @@ class Database:
         context: ExecutionContext,
     ) -> list[tuple[int, int]]:
         """(partition ordinal, position) of visible rows matching WHERE."""
+        conjuncts = ast.split_conjuncts(where)
         matches: list[tuple[int, int]] = []
         for ordinal, partition in enumerate(table.partitions):
             positions = partition.visible_positions(context.snapshot_cid, context.own_tid)
-            if len(positions) == 0:
-                continue
-            if where is not None:
-                columns = {
-                    name.lower(): partition.column_array(name)[positions]
-                    for name in table.schema.column_names
-                }
-                batch = Batch(columns, len(positions))
-                mask = np.asarray(evaluate(where, batch, context), dtype=bool)
-                positions = positions[mask]
-            matches.extend((ordinal, int(position)) for position in positions)
+            positions = filter_positions(partition, positions, conjuncts, None, context)
+            matches.extend((ordinal, position) for position in positions.tolist())
         return matches
 
     def _execute_update(

@@ -17,6 +17,26 @@ evaluation is NumPy-vectorised. At the leaves, scans
   probes when a text index exists (Section II.C),
 * apply MVCC visibility and any pushed-down predicate per partition.
 
+**The scan contract is codes first, values last** (the dictionary-encoded
+scan of Section II.A). A scan reads only the columns the planner left in
+``ScanNode.columns``. Per partition, :func:`filter_positions` — shared
+with ``UPDATE``/``DELETE`` — turns each ``column <op> literal(s)`` conjunct
+into a dictionary lookup plus an integer test on the main fragment's value
+ids, so the predicate runs before anything is decoded; the delta fragment
+and every other conjunct go through ``evaluate`` over the predicate's
+columns only. :func:`_read_column` then decodes the surviving positions:
+numbers and booleans to the arrays ``column_array`` would give, strings
+and dates to a :class:`~repro.sql.expressions.Coded` column (codes plus
+value table). Coded columns stay coded through filters, gathers, joins
+and projections of bare column references; ``GROUP BY``, ``DISTINCT``,
+``COUNT(DISTINCT)``, equi-join keys, ``MIN``/``MAX`` and ``ORDER BY``
+work on integer stand-ins (:func:`_match_keys`, :func:`_rank_table`) whose
+only Python-level work is per *distinct* value. Values appear when an
+expression is evaluated (``Batch.column``) or rows are produced
+(``Batch.rows``). Result order without ``ORDER BY`` is defined: groups by
+first appearance of their keys, join output in left-row order with
+matches in right-row order, ``DISTINCT`` keeps first occurrences.
+
 **Observability:** every plan-node dispatch passes through
 :func:`_execute_node`, which hands the node to ``context.profiler`` when
 one is installed (``session.profile(sql)`` — see
@@ -44,13 +64,16 @@ from typing import Any
 import numpy as np
 
 from repro import obs
+from repro.columnstore.column import MainColumn
+from repro.columnstore.compression import NULL_VID
 from repro.columnstore.partition import CompositePartitioning, RangePartitioning
-from repro.columnstore.table import ColumnTable
+from repro.columnstore.table import ColumnTable, TablePartition
+from repro.core.types import TypeCode
 from repro.errors import PlanError
 from repro.sql import ast
 from repro.sql import feedback as fb
 from repro.sql.context import ExecutionContext
-from repro.sql.expressions import Batch, evaluate, is_null_mask
+from repro.sql.expressions import Batch, Coded, Column, as_float, evaluate, is_null_mask
 from repro.sql.planner import (
     AggregateNode,
     DistinctNode,
@@ -127,19 +150,16 @@ def _dispatch_node(node: PlanNode, context: ExecutionContext) -> Batch:
         return _execute_aggregate(node, context)
     if isinstance(node, ProjectNode):
         child = _execute_node(node.child, context)
-        columns: dict[str, np.ndarray] = {}
+        columns: dict[str, Column] = {}
         for expr, name in list(node.items) + list(node.hidden):
-            columns[name] = np.asarray(evaluate(expr, child, context))
+            columns[name] = _operand(expr, child, context)
         return Batch(columns, len(child))
     if isinstance(node, SortNode):
         child = _execute_node(node.child, context)
         order = _sort_order(child, node.keys)
         return child.take(order)
     if isinstance(node, DistinctNode):
-        child = _execute_node(node.child, context)
-        codes = _row_codes(child, child.names)
-        _uniques, first_positions = np.unique(codes, return_index=True)
-        return child.take(np.sort(first_positions))
+        return _distinct(_execute_node(node.child, context))
     if isinstance(node, LimitNode):
         child = _execute_node(node.child, context)
         start = node.offset or 0
@@ -160,11 +180,7 @@ def _dispatch_node(node: PlanNode, context: ExecutionContext) -> Batch:
                 )
             )
         merged = Batch.concat(parts)
-        if node.distinct:
-            codes = _row_codes(merged, merged.names)
-            _uniques, first_positions = np.unique(codes, return_index=True)
-            merged = merged.take(np.sort(first_positions))
-        return merged
+        return _distinct(merged) if node.distinct else merged
     raise PlanError(f"vectorised engine cannot execute {type(node).__name__}")
 
 
@@ -262,10 +278,8 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
             allowed = index_positions.get(partition.name, set())
             if not allowed:
                 continue
-            keep = np.fromiter(
-                (int(p) in allowed for p in positions), dtype=bool, count=len(positions)
-            )
-            positions = positions[keep]
+            hits = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+            positions = positions[np.isin(positions, hits)]
         if governor is not None:
             # batch-granular yield point: truncate instead of overshooting
             # the soft row budget, then charge what survives
@@ -279,17 +293,14 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
             )
         if len(positions) == 0:
             continue
-        columns = {
-            f"{node.alias}.{name.lower()}": partition.column_array(name)[positions]
-            for name in node.columns
-        }
-        batch = Batch(columns, len(positions))
         context.bump("rows_scanned", len(positions))
         obs.count("sql.executor.rows_scanned", len(positions))
-        if node.predicate is not None:
-            mask = np.asarray(evaluate(node.predicate, batch, context), dtype=bool)
-            batch = batch.filter(mask)
-        parts.append(batch)
+        positions = filter_positions(partition, positions, conjuncts, node.alias, context)
+        columns = {
+            f"{node.alias}.{name}": _read_column(partition, name, positions)
+            for name in map(str.lower, node.columns)
+        }
+        parts.append(Batch(columns, len(positions)))
     if not parts:
         empty = {
             f"{node.alias}.{name.lower()}": np.empty(0, dtype=object)
@@ -299,24 +310,193 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
     return Batch.concat(parts)
 
 
+#: the comparison that holds after swapping the operands
+_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+_INTEGER_TYPES = (TypeCode.INTEGER, TypeCode.BIGINT)
+_FLOAT_TYPES = (TypeCode.DOUBLE, TypeCode.DECIMAL)
+#: types a scan hands on decoded; every other type leaves it as a Coded column
+_ARRAY_TYPES = _INTEGER_TYPES + _FLOAT_TYPES + (TypeCode.BOOLEAN,)
+
+
+def filter_positions(
+    partition: TablePartition,
+    positions: np.ndarray,
+    conjuncts: list[ast.Expr],
+    alias: str | None,
+    context: ExecutionContext,
+) -> np.ndarray:
+    """The given (ascending) positions of one partition whose rows satisfy
+    every conjunct — the one WHERE evaluation of scans, UPDATE and DELETE.
+
+    *Codes first*: on the main fragment a ``column <op> literal(s)``
+    conjunct is a dictionary lookup plus an integer test on value ids
+    (:func:`_main_mask`), which narrows the positions before anything is
+    decoded. The same conjuncts see the delta fragment's exact Python
+    values. Whatever cannot be put that way is handed to
+    :func:`~repro.sql.expressions.evaluate` over the surviving rows and
+    the columns it references, nothing else. ``alias`` qualifies the
+    column keys (``None``: bare names, as DML predicates use them).
+    """
+    if not conjuncts:
+        return positions
+    n_main = partition.n_main
+    split = int(np.searchsorted(positions, n_main))
+    main, delta = positions[:split], positions[split:]
+    prefix = f"{alias}." if alias else ""
+
+    on_codes: list[ast.Expr] = []
+    code_columns: set[str] = set()
+    residual: list[ast.Expr] = []
+    for conjunct in conjuncts:
+        test = _code_test(conjunct, alias, partition)
+        mask = None if test is None else _main_mask(partition.main[test[0]], main, *test[1:])
+        if mask is None:
+            residual.append(conjunct)
+        else:
+            main = main[mask]
+            on_codes.append(conjunct)
+            code_columns.add(test[0])
+    if on_codes and len(delta):
+        exact = {
+            prefix + name: np.asarray(partition.delta[name].values, dtype=object)[delta - n_main]
+            for name in code_columns
+        }
+        mask = evaluate(ast.and_together(on_codes), Batch(exact, len(delta)), context)
+        delta = delta[np.asarray(mask, dtype=bool)]
+    positions = np.concatenate([main, delta])
+    if residual and len(positions):
+        predicate = ast.and_together(residual)
+        names = {ref.name for ref in ast.collect_column_refs(predicate)}
+        columns = {
+            prefix + name: _read_column(partition, name, positions)
+            for name in sorted(names & partition.main.keys())
+        }
+        mask = evaluate(predicate, Batch(columns, len(positions)), context)
+        positions = positions[np.asarray(mask, dtype=bool)]
+    return positions
+
+
+def _code_test(
+    conjunct: ast.Expr, alias: str | None, partition: TablePartition
+) -> tuple[str, str, tuple[Any, ...], bool] | None:
+    """``(column, op, literals, negated)`` when the conjunct compares one
+    column of the partition with literals of its stored type, else None.
+
+    Only literal types whose comparison with the stored values is the
+    same on value ids as on decoded arrays qualify: ``VARCHAR = 5`` or
+    ``INT = 12.0`` stay with ``evaluate`` (which answers them as ever).
+    """
+    negated = False
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FLIP:
+        operand, other, op = conjunct.left, conjunct.right, conjunct.op
+        if isinstance(operand, ast.Literal):
+            operand, other, op = other, operand, _FLIP[op]
+        literals: tuple[ast.Expr, ...] = (other,)
+    elif isinstance(conjunct, ast.InList):
+        operand, literals, op, negated = conjunct.operand, conjunct.items, "IN", conjunct.negated
+    elif isinstance(conjunct, ast.Between):
+        operand, literals = conjunct.operand, (conjunct.low, conjunct.high)
+        op, negated = "BETWEEN", conjunct.negated
+    else:
+        return None
+    if not isinstance(operand, ast.ColumnRef) or operand.table not in (None, alias):
+        return None
+    column = partition.main.get(operand.name)
+    if column is None:
+        return None
+    values = []
+    for literal in literals:
+        if not isinstance(literal, ast.Literal):
+            return None
+        kind = type(literal.value)
+        if column.dtype.code in _INTEGER_TYPES:
+            fits = kind is int
+        elif column.dtype.code in _FLOAT_TYPES:  # float64 holds these ints exactly
+            fits = kind is float or (kind is int and abs(literal.value) <= 2**53)
+        else:
+            fits = kind is str and column.dtype.code is TypeCode.VARCHAR
+        if not fits:
+            return None
+        values.append(literal.value)
+    return operand.name, op, tuple(values), negated
+
+
+def _main_mask(
+    column: MainColumn, positions: np.ndarray, op: str, literals: tuple[Any, ...], negated: bool
+) -> np.ndarray | None:
+    """``column <op> literals`` at main-fragment positions, on value ids.
+
+    ``vid_of`` answers :data:`NULL_VID` for a literal the dictionary does
+    not hold — the id the NULL rows carry — so an absent literal is
+    skipped, never compared. Ranges need value order to be id order;
+    without it the answer is None and the caller compares values.
+    """
+    dictionary, encoded = column.dictionary, column.encoded
+    if op in ("=", "<>", "IN"):
+        hit = np.zeros(len(positions), dtype=bool)
+        for literal in literals:
+            vid = dictionary.vid_of(literal)
+            if vid != NULL_VID:
+                hit |= encoded.scan_eq(vid)[positions]
+        if op != "<>" and not negated:
+            return hit
+        return ~hit & ~encoded.scan_eq(NULL_VID)[positions]
+    if not dictionary.is_sorted():
+        return None
+    if op == "BETWEEN":
+        low, high = dictionary.range_vids(*literals)
+    elif op in ("<", "<="):
+        low, high = dictionary.range_vids(high=literals[0], high_inclusive=op == "<=")
+    else:
+        low, high = dictionary.range_vids(low=literals[0], low_inclusive=op == ">=")
+    vids = encoded.take(positions)
+    inside = (vids >= low) & (vids < high)  # low >= 0 keeps NULL_VID out
+    return ~inside & (vids != NULL_VID) if negated else inside
+
+
+def _read_column(partition: TablePartition, name: str, positions: np.ndarray) -> Column:
+    """One column at the given (ascending) positions — *values last*.
+
+    Numeric and boolean columns come back as ``column_array(name)[positions]``
+    would (the dtype follows the whole fragments: an INTEGER column is
+    ``float64`` once any of its rows is NULL) without decoding any other
+    row; every other type as a :class:`Coded` column over the main
+    dictionary's decode table plus the delta rows read.
+    """
+    main, delta = partition.main[name], partition.delta[name]
+    split = int(np.searchsorted(positions, len(main)))
+    coded = main.dtype.code not in _ARRAY_TYPES
+    parts: list[Any] = []
+    if len(main):
+        vids = main.encoded.take(positions[:split])
+        parts.append(Coded(vids, main.lookup()) if coded else main.lookup()[vids])
+    if len(delta):
+        values = delta.array()[positions[split:] - len(main)]
+        parts.append(Coded.from_values(values) if coded else values)
+    if len(parts) < 2:
+        return parts[0] if parts else np.empty(0, dtype=object)
+    if coded:
+        return Coded.concat(parts)
+    if parts[0].dtype != parts[1].dtype:
+        target = object if object in (parts[0].dtype, parts[1].dtype) else np.float64
+        parts = [part.astype(target) for part in parts]
+    return np.concatenate(parts)
+
+
 def _simple_filter_triples(
     conjuncts: list[ast.Expr],
 ) -> list[tuple[str, str, Any]]:
     """Conjuncts of the form column <op> literal, as pushdown triples."""
     triples = []
     for conjunct in conjuncts:
-        if not isinstance(conjunct, ast.BinaryOp):
-            continue
-        if conjunct.op not in ("=", "<>", "<", "<=", ">", ">="):
+        if not isinstance(conjunct, ast.BinaryOp) or conjunct.op not in _FLIP:
             continue
         left, right = conjunct.left, conjunct.right
         if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
             triples.append((left.name, conjunct.op, right.value))
         elif isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-            flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(
-                conjunct.op, conjunct.op
-            )
-            triples.append((right.name, flipped, left.value))
+            triples.append((right.name, _FLIP[conjunct.op], left.value))
     return triples
 
 
@@ -403,7 +583,7 @@ def _column_bounds(
             value = right.value
         elif isinstance(left, ast.Literal) and _is_column(right, column):
             value = left.value
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+            op = _FLIP.get(op, op)
         else:
             continue
         if op == "=":
@@ -469,7 +649,7 @@ def _execute_join(node: JoinNode, context: ExecutionContext) -> Batch:
     if node.kind == "cross" and not node.equi:
         joined = _cross_join(left, right)
     else:
-        joined = _hash_join(left, right, node, context)
+        joined = _equi_join(left, right, node, context)
     if node.residual is not None:
         mask = np.asarray(evaluate(node.residual, joined, context), dtype=bool)
         joined = joined.filter(mask)
@@ -488,45 +668,113 @@ def _cross_join(left: Batch, right: Batch) -> Batch:
     return Batch(columns, n_left * n_right)
 
 
-def _key_tuples(batch: Batch, exprs: list[ast.Expr], context: ExecutionContext) -> list[tuple]:
-    arrays = [np.asarray(evaluate(expr, batch, context)) for expr in exprs]
-    normalised = []
-    for array in arrays:
-        if array.dtype.kind == "f":
-            normalised.append([None if v != v else float(v) for v in array])
-        elif array.dtype == object:
-            normalised.append([None if v is None else v for v in array])
-        else:
-            normalised.append([v.item() if isinstance(v, np.generic) else v for v in array])
-    return list(zip(*normalised)) if normalised else [()] * len(batch)
+def _operand(expr: ast.Expr, batch: Batch, context: ExecutionContext) -> Column:
+    """An operator input: a bare column reference keeps its coded form,
+    any other expression is evaluated to a plain array."""
+    if isinstance(expr, ast.ColumnRef):
+        return batch.columns[batch.resolve(expr.name, expr.table)]
+    return np.asarray(evaluate(expr, batch, context))
 
 
-def _hash_join(
+def _nulls(column: Column) -> np.ndarray:
+    return column.codes < 0 if isinstance(column, Coded) else is_null_mask(column)
+
+
+def _as_coded(column: Column) -> Coded:
+    if isinstance(column, Coded):
+        return column
+    if column.dtype != object:
+        nulls = is_null_mask(column)
+        column = column.astype(object)
+        column[nulls] = None
+    return Coded.from_values(column)
+
+
+def _match_keys(columns: list[Column]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Numeric stand-ins for columns that are compared with each other.
+
+    Returns ``(keys, nulls)``: across all given columns two rows hold equal
+    values exactly when their keys are equal (NULL rows are flagged in
+    ``nulls`` and carry an arbitrary key). Numbers stand for themselves;
+    object and coded columns get one integer per distinct value — the only
+    Python-level work, and it is per table entry, not per row.
+    """
+    if not any(column.dtype == object for column in columns):
+        kind = np.float64 if any(c.dtype.kind == "f" for c in columns) else np.int64
+        keys = [column.astype(kind, copy=False) for column in columns]
+        return keys, [is_null_mask(key) for key in keys]
+    seen: dict[Any, int] = {}
+    keys, nulls = [], []
+    for coded in map(_as_coded, columns):
+        table = np.fromiter(
+            (seen.setdefault(value, len(seen)) for value in coded.values.tolist()),
+            dtype=np.int64,
+            count=len(coded.values),
+        )
+        keys.append(table[coded.codes])
+        nulls.append(coded.codes < 0)
+    return keys, nulls
+
+
+def _rank_table(coded: Coded) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, ordered)``: each row's position in the ascending order of
+    the column's distinct values (NULL ranks last), and those values with a
+    trailing ``None`` so that ``ordered[ranks]`` is the column again."""
+    table = coded.values.tolist()
+    ordered = sorted(set(table) - {None})
+    rank_of = {value: rank for rank, value in enumerate(ordered)}
+    rank_of[None] = len(ordered)
+    ranks = np.fromiter((rank_of[value] for value in table), dtype=np.int64, count=len(table))
+    ordered.append(None)
+    return ranks[coded.codes], np.fromiter(ordered, dtype=object, count=len(ordered))
+
+
+def _join_keys(
+    left: Batch, right: Batch, node: JoinNode, context: ExecutionContext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One key array per side over all equi pairs, plus which rows can match."""
+    left_key = np.zeros(len(left), dtype=np.int64)
+    right_key = np.zeros(len(right), dtype=np.int64)
+    left_ok = np.ones(len(left), dtype=bool)
+    right_ok = np.ones(len(right), dtype=bool)
+    for index, (left_expr, right_expr) in enumerate(node.equi):
+        columns = [_operand(left_expr, left, context), _operand(right_expr, right, context)]
+        (left_part, right_part), (left_null, right_null) = _match_keys(columns)
+        left_ok &= ~left_null
+        right_ok &= ~right_null
+        if index == 0:
+            left_key, right_key = left_part, right_part
+            continue
+        # fold the next pair in: densify both, then number the combinations
+        dense = [
+            np.unique(np.concatenate(pair), return_inverse=True)[1]
+            for pair in ((left_key, right_key), (left_part, right_part))
+        ]
+        combined = dense[0] * (int(dense[1].max(initial=0)) + 1) + dense[1]
+        left_key, right_key = combined[: len(left)], combined[len(left) :]
+    return left_key, left_ok, right_key, right_ok
+
+
+def _equi_join(
     left: Batch, right: Batch, node: JoinNode, context: ExecutionContext
 ) -> Batch:
-    left_keys = _key_tuples(left, [pair[0] for pair in node.equi], context)
-    right_keys = _key_tuples(right, [pair[1] for pair in node.equi], context)
+    """Sort-based equi join on integer keys.
 
-    build: dict[tuple, list[int]] = {}
-    for position, key in enumerate(right_keys):
-        if any(part is None for part in key):
-            continue
-        build.setdefault(key, []).append(position)
+    Output order is the hash join's: left rows in order, each with its
+    matches in ascending right position, then (``LEFT``) the unmatched
+    left rows. NULL keys never join.
+    """
+    left_key, left_ok, right_key, right_ok = _join_keys(left, right, node, context)
+    candidates = np.flatnonzero(right_ok)
+    order = candidates[np.argsort(right_key[candidates], kind="stable")]
+    sorted_keys = right_key[order]
+    first = np.searchsorted(sorted_keys, left_key, side="left")
+    counts = np.where(left_ok, np.searchsorted(sorted_keys, left_key, side="right") - first, 0)
+    left_index = np.repeat(np.arange(len(left)), counts)
+    within_run = np.arange(len(left_index)) - np.repeat(np.cumsum(counts) - counts, counts)
+    right_index = order[np.repeat(first, counts) + within_run]
 
-    left_positions: list[int] = []
-    right_positions: list[int] = []
-    unmatched_left: list[int] = []
-    for position, key in enumerate(left_keys):
-        matches = build.get(key) if not any(part is None for part in key) else None
-        if matches:
-            left_positions.extend([position] * len(matches))
-            right_positions.extend(matches)
-        elif node.kind == "left":
-            unmatched_left.append(position)
-
-    left_index = np.asarray(left_positions, dtype=np.int64)
-    right_index = np.asarray(right_positions, dtype=np.int64)
-    columns: dict[str, np.ndarray] = {}
+    columns: dict[str, Column] = {}
     for key, array in left.columns.items():
         columns[key] = array[left_index]
     for key, array in right.columns.items():
@@ -535,20 +783,18 @@ def _hash_join(
     context.bump("join_rows", len(left_index))
     obs.count("sql.executor.join_rows", len(left_index))
 
-    if node.kind != "left" or not unmatched_left:
+    if node.kind != "left" or counts.all():
         return matched
 
-    pad_index = np.asarray(unmatched_left, dtype=np.int64)
-    pad_columns: dict[str, np.ndarray] = {}
+    pad_index = np.flatnonzero(counts == 0)
+    pad_columns: dict[str, Column] = {}
     for key, array in left.columns.items():
         pad_columns[key] = array[pad_index]
     for key, array in right.columns.items():
-        if array.dtype.kind == "f":
-            pad_columns[key] = np.full(len(pad_index), np.nan)
+        if isinstance(array, Coded):
+            pad_columns[key] = Coded(np.full(len(pad_index), -1), array.values)
         elif array.dtype == object:
-            pad = np.empty(len(pad_index), dtype=object)
-            pad[:] = None
-            pad_columns[key] = pad
+            pad_columns[key] = np.full(len(pad_index), None, dtype=object)
         else:
             pad_columns[key] = np.full(len(pad_index), np.nan)
     return Batch.concat([matched, Batch(pad_columns, len(pad_index))])
@@ -559,75 +805,71 @@ def _hash_join(
 # --------------------------------------------------------------------------
 
 
-def _factorize(array: np.ndarray) -> tuple[np.ndarray, list[Any]]:
-    """Map values to dense codes; NaN/None become their own group."""
-    codes = np.empty(len(array), dtype=np.int64)
-    uniques: list[Any] = []
-    seen: dict[Any, int] = {}
-    if array.dtype.kind == "f":
-        values: list[Any] = [None if v != v else float(v) for v in array]
-    elif array.dtype == object:
-        values = list(array)
-    else:
-        values = [v.item() if isinstance(v, np.generic) else v for v in array]
-    for index, value in enumerate(values):
-        code = seen.get(value)
-        if code is None:
-            code = len(uniques)
-            seen[value] = code
-            uniques.append(value)
-        codes[index] = code
-    return codes, uniques
+def _group_ids(columns: list[Column], length: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(group_ids, first_positions)`` of the rows grouped by all columns.
+
+    Groups are numbered by the first-appearance rank of their first key,
+    then of their second, and so on; NULL is a group of its own.
+    ``first_positions[g]`` is the earliest row of group ``g``.
+    """
+    group_ids = np.zeros(length, dtype=np.int64)
+    first_positions = np.zeros(min(length, 1), dtype=np.int64)
+    rows = np.arange(length)
+    for column in columns:
+        (keys,), _ = _match_keys([column])  # NULL has one key: None's code, or NaN
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        first = np.full(len(distinct), length)
+        np.minimum.at(first, inverse, rows)
+        order = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[order] = np.arange(len(first))
+        if len(first_positions) <= 1:  # nothing to refine yet: the ranks are the groups
+            group_ids, first_positions = rank[inverse], first[order]
+            continue
+        _codes, first_positions, group_ids = np.unique(
+            group_ids * len(first) + rank[inverse], return_index=True, return_inverse=True
+        )
+    return group_ids, first_positions
 
 
-def _row_codes(batch: Batch, names: list[str]) -> np.ndarray:
-    """Dense row codes over several columns (for DISTINCT and grouping)."""
-    if not names:
-        return np.zeros(len(batch), dtype=np.int64)
-    combined = np.zeros(len(batch), dtype=np.int64)
-    for name in names:
-        codes, uniques = _factorize(batch.columns[name])
-        combined = combined * max(len(uniques), 1) + codes
-    # re-densify
-    _unique_values, dense = np.unique(combined, return_inverse=True)
-    return dense
+def _distinct(batch: Batch) -> Batch:
+    """First occurrence of every distinct row, in row order."""
+    _ids, first_positions = _group_ids(list(batch.columns.values()), len(batch))
+    return batch.take(np.sort(first_positions))
 
 
 def _execute_aggregate(node: AggregateNode, context: ExecutionContext) -> Batch:
     child = _execute_node(node.child, context)
     length = len(child)
 
-    group_arrays = [
-        np.asarray(evaluate(expr, child, context)) for expr, _name in node.group
-    ]
+    group_columns = [_operand(expr, child, context) for expr, _name in node.group]
     if node.group:
-        per_column = [_factorize(array) for array in group_arrays]
-        combined = np.zeros(length, dtype=np.int64)
-        for codes, uniques in per_column:
-            combined = combined * max(len(uniques), 1) + codes
-        unique_codes, first_positions, group_ids = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        group_count = len(unique_codes)
+        group_ids, first_positions = _group_ids(group_columns, length)
+        group_count = len(first_positions)
     else:
         group_ids = np.zeros(length, dtype=np.int64)
-        first_positions = np.array([0], dtype=np.int64) if length else np.empty(0, dtype=np.int64)
         group_count = 1  # global aggregate always yields one row
 
-    columns: dict[str, np.ndarray] = {}
-    for array, (_expr, name) in zip(group_arrays, node.group):
-        if length:
-            columns[name] = array[first_positions]
-        else:
-            columns[name] = array[:0]
-    if node.group and length == 0:
-        group_count = 0
-
+    columns: dict[str, Column] = {}
+    for column, (_expr, name) in zip(group_columns, node.group):
+        columns[name] = column[first_positions]
     for call, name in node.aggregates:
         columns[name] = _compute_aggregate(call, child, group_ids, group_count, context)
+    return Batch(columns, group_count)
 
-    out_length = group_count if (not node.group or length) else 0
-    return Batch(columns, out_length)
+
+_EXTREME = {"MIN": np.minimum, "MAX": np.maximum}
+
+
+def _grouped_extreme(
+    name: str, values: np.ndarray, valid: np.ndarray, group_ids: np.ndarray, group_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group MIN/MAX of an integer array, reduced in ``int64``; the
+    second array flags the groups that had a non-NULL row at all."""
+    limits = np.iinfo(np.int64)
+    out = np.full(group_count, limits.max if name == "MIN" else limits.min, dtype=np.int64)
+    _EXTREME[name].at(out, group_ids[valid], values[valid])
+    return out, np.bincount(group_ids[valid], minlength=group_count) > 0
 
 
 def _compute_aggregate(
@@ -641,27 +883,21 @@ def _compute_aggregate(
     if name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star)):
         return np.bincount(group_ids, minlength=group_count).astype(np.int64)
 
-    values = np.asarray(evaluate(call.args[0], child, context))
-    null_mask = is_null_mask(values)
-    valid = ~null_mask
+    column = _operand(call.args[0], child, context)
+    valid = ~_nulls(column)
 
     if name == "COUNT":
         if call.distinct:
-            out = np.zeros(group_count, dtype=np.int64)
-            seen: set[tuple[int, Any]] = set()
-            for index in np.flatnonzero(valid):
-                key = (int(group_ids[index]), values[index] if values.dtype == object else values[index].item())
-                if key not in seen:
-                    seen.add(key)
-                    out[group_ids[index]] += 1
-            return out
+            (keys,), _ = _match_keys([column])
+            distinct, dense = np.unique(keys[valid], return_inverse=True)
+            width = max(len(distinct), 1)
+            pairs = np.unique(group_ids[valid] * width + dense)  # one per (group, value)
+            return np.bincount(pairs // width, minlength=group_count).astype(np.int64)
         return np.bincount(group_ids[valid], minlength=group_count).astype(np.int64)
 
-    numeric = values.astype(np.float64) if values.dtype != object else np.array(
-        [np.nan if v is None else float(v) for v in values], dtype=np.float64
-    ) if name in ("SUM", "AVG", "STDDEV", "VAR", "MEDIAN") else values
-
     if name in ("SUM", "AVG", "STDDEV", "VAR", "MEDIAN"):
+        values = column.decode() if isinstance(column, Coded) else column
+        numeric = as_float(values)
         clean = np.where(valid, numeric, 0.0)
         sums = np.bincount(group_ids, weights=clean, minlength=group_count)
         counts = np.bincount(group_ids[valid], minlength=group_count).astype(np.float64)
@@ -687,27 +923,19 @@ def _compute_aggregate(
         return out
 
     if name in ("MIN", "MAX"):
-        if values.dtype != object:
-            fill = np.inf if name == "MIN" else -np.inf
-            clean = np.where(valid, values.astype(np.float64), fill)
-            out = np.full(group_count, fill)
-            if name == "MIN":
-                np.minimum.at(out, group_ids, clean)
-            else:
-                np.maximum.at(out, group_ids, clean)
-            out[np.isinf(out)] = np.nan
-            if values.dtype.kind in "iu" and not np.isnan(out).any():
-                return out.astype(np.int64)
-            return out
-        out_obj = np.empty(group_count, dtype=object)
-        out_obj[:] = None
-        for index in np.flatnonzero(valid):
-            group = group_ids[index]
-            current = out_obj[group]
-            value = values[index]
-            if current is None or (value < current if name == "MIN" else value > current):
-                out_obj[group] = value
-        return out_obj
+        if column.dtype == object:  # reduce the values' ranks, hand back the values
+            ranks, ordered = _rank_table(_as_coded(column))
+            out, present = _grouped_extreme(name, ranks, valid, group_ids, group_count)
+            return ordered[np.where(present, out, -1)]
+        if column.dtype.kind in "iu":
+            out, present = _grouped_extreme(name, column, valid, group_ids, group_count)
+            return out if present.all() else np.where(present, out, np.nan)
+        fill = np.inf if name == "MIN" else -np.inf
+        clean = np.where(valid, column.astype(np.float64), fill)
+        out = np.full(group_count, fill)
+        _EXTREME[name].at(out, group_ids, clean)
+        out[np.isinf(out)] = np.nan
+        return out
 
     raise PlanError(f"unknown aggregate function {name}")
 
@@ -723,16 +951,14 @@ def _sort_order(batch: Batch, keys: list[tuple[str, bool]]) -> np.ndarray:
     for name, ascending in reversed(keys):
         array = batch.columns[name][order]
         if array.dtype == object:
-            def sort_key(i: int, a: np.ndarray = array) -> tuple:
-                value = a[i]
-                return (value is None, value)
-
-            local = sorted(range(len(array)), key=sort_key)
+            # order the distinct values once, then sort the rows by rank; a
+            # descending key is the ascending order reversed ahead of the NULLs
+            ranks, ordered = _rank_table(_as_coded(array))
+            local = np.argsort(ranks, kind="stable")
             if not ascending:
-                non_null = [i for i in local if array[i] is not None]
-                nulls = [i for i in local if array[i] is None]
-                local = non_null[::-1] + nulls
-            order = order[np.asarray(local, dtype=np.int64)]
+                filled = int(np.count_nonzero(ranks < len(ordered) - 1))
+                local = np.concatenate([local[:filled][::-1], local[filled:]])
+            order = order[local]
         else:
             values = array.astype(np.float64, copy=False) if array.dtype.kind == "f" else array
             if array.dtype.kind == "f":

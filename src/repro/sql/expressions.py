@@ -1,9 +1,15 @@
 """Vectorised expression evaluation over column batches.
 
 A :class:`Batch` is the unit flowing between physical operators: a mapping
-from qualified column names (``alias.column``) to NumPy arrays of equal
-length. Expressions evaluate to arrays; SQL NULL is NaN in float arrays and
-``None`` in object arrays.
+from qualified column names (``alias.column``) to columns of equal length.
+A column is a NumPy array — SQL NULL is NaN in float arrays and ``None`` in
+object arrays — or, for string/date columns that came out of a scan, a
+:class:`Coded` column: integer codes plus a value table, the
+dictionary-encoded form the column store keeps them in. ``take``,
+``filter`` and ``concat`` move codes around without touching the values;
+the executor groups, joins and sorts on them. Whoever needs the values
+decodes: :meth:`Batch.column` (and therefore :func:`evaluate`, whose
+contract stays *plain arrays in, plain array out*) and :meth:`Batch.rows`.
 
 Three-valued logic is simplified: a comparison involving NULL yields False
 (not UNKNOWN), which matches the filtering behaviour of WHERE clauses —
@@ -22,13 +28,62 @@ from repro.sql import ast
 from repro.sql.context import ExecutionContext
 
 
+class Coded:
+    """An object-dtype column held as integer codes into a value table.
+
+    ``values[codes]`` is the column. ``values`` is an object array whose
+    last slot is ``None``, so the NULL code ``-1`` decodes to NULL without
+    a branch. The table may list a value more than once (several
+    dictionaries concatenated, delta rows): equal codes mean equal
+    values, not the converse.
+    """
+
+    __slots__ = ("codes", "values")
+
+    dtype = np.dtype(object)
+
+    def __init__(self, codes: np.ndarray, values: np.ndarray) -> None:
+        self.codes = codes
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: np.ndarray) -> "Coded":
+        return Coded(self.codes[index], self.values)
+
+    def decode(self) -> np.ndarray:
+        return self.values[self.codes]
+
+    @staticmethod
+    def from_values(array: np.ndarray) -> "Coded":
+        """Code an object array row by row (each non-NULL row its own code)."""
+        codes = np.arange(len(array), dtype=np.int64)
+        codes[is_null_mask(array)] = -1
+        return Coded(codes, np.append(array, None))
+
+    @staticmethod
+    def concat(parts: "list[Coded]") -> "Coded":
+        """Concatenate, appending the value tables and shifting the codes."""
+        codes, tables, offset = [], [], 0
+        for part in parts:
+            codes.append(np.where(part.codes < 0, -1, part.codes + offset))
+            tables.append(part.values[:-1])
+            offset += len(part.values) - 1
+        tables.append(np.array([None], dtype=object))
+        return Coded(np.concatenate(codes), np.concatenate(tables))
+
+
+Column = np.ndarray | Coded
+
+
 class Batch:
     """Named columns of equal length — the vectorised data unit."""
 
     __slots__ = ("columns", "length")
 
-    def __init__(self, columns: Mapping[str, np.ndarray], length: int | None = None) -> None:
-        self.columns: dict[str, np.ndarray] = dict(columns)
+    def __init__(self, columns: Mapping[str, Column], length: int | None = None) -> None:
+        self.columns: dict[str, Column] = dict(columns)
         if length is None:
             first = next(iter(self.columns.values()), None)
             length = len(first) if first is not None else 0
@@ -59,7 +114,9 @@ class Batch:
         raise ExpressionError(f"ambiguous column reference {name!r}: {matches}")
 
     def column(self, name: str, table: str | None = None) -> np.ndarray:
-        return self.columns[self.resolve(name, table)]
+        """The column as a plain array (a coded column is decoded)."""
+        column = self.columns[self.resolve(name, table)]
+        return column.decode() if isinstance(column, Coded) else column
 
     def take(self, positions: np.ndarray) -> "Batch":
         """Row subset by position."""
@@ -83,11 +140,9 @@ class Batch:
 
     def rows(self) -> list[list[Any]]:
         """Materialise as Python rows (column order = insertion order)."""
-        arrays = list(self.columns.values())
-        return [
-            [_to_python(array[index]) for array in arrays]
-            for index in range(self.length)
-        ]
+        if not self.columns:
+            return [[] for _ in range(self.length)]
+        return list(map(list, zip(*map(_python_values, self.columns.values()))))
 
     @staticmethod
     def concat(parts: "Iterable[Batch]") -> "Batch":
@@ -98,9 +153,13 @@ class Batch:
         if len(parts) == 1:
             return parts[0]
         keys = parts[0].names
-        columns = {}
+        columns: dict[str, Column] = {}
         for key in keys:
             arrays = [part.columns[key] for part in parts]
+            if all(isinstance(array, Coded) for array in arrays):
+                columns[key] = Coded.concat(arrays)
+                continue
+            arrays = [a.decode() if isinstance(a, Coded) else a for a in arrays]
             target = _common_dtype(arrays)
             columns[key] = np.concatenate([a.astype(target, copy=False) for a in arrays])
         return Batch(columns, sum(len(part) for part in parts))
@@ -124,10 +183,27 @@ def _to_python(value: Any) -> Any:
     return value
 
 
+_unbox = np.frompyfunc(_to_python, 1, 1)
+
+
+def _python_values(column: Column) -> list[Any]:
+    """One column as Python values for output rows (NULL is ``None``)."""
+    if column.dtype == object:
+        with np.errstate(invalid="ignore"):  # NaN self-comparison is the point
+            if isinstance(column, Coded):  # unbox per table entry, not per row
+                return _unbox(column.values)[column.codes].tolist()
+            return _unbox(column).tolist()
+    if column.dtype.kind == "f" and np.isnan(column).any():
+        boxed = column.astype(object)
+        boxed[np.isnan(column)] = None
+        return boxed.tolist()
+    return column.tolist()
+
+
 def is_null_mask(array: np.ndarray) -> np.ndarray:
     """Boolean mask of SQL NULLs for either representation."""
     if array.dtype == object:
-        return np.fromiter((v is None for v in array), dtype=bool, count=len(array))
+        return np.asarray(array == None, dtype=bool)  # noqa: E711 - element-wise
     if array.dtype.kind == "f":
         return np.isnan(array)
     return np.zeros(len(array), dtype=bool)
@@ -156,29 +232,34 @@ _ARITH: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 _COMPARE = {"=", "<>", "<", "<=", ">", ">="}
 
 
+_OBJECT_COMPARE: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def _missing(array: np.ndarray) -> np.ndarray:
+    """NULLs of either representation, plus NaN objects inside object arrays."""
+    if array.dtype == object:
+        return is_null_mask(array) | np.asarray(array != array, dtype=bool)
+    return is_null_mask(array)
+
+
 def _compare_object(left: np.ndarray, right: np.ndarray, op: str) -> np.ndarray:
-    """Element-wise comparison with None treated as 'never matches'."""
+    """Python-semantics comparison; NULL never matches, and neither do
+    operands Python cannot order (``'a' < 1`` is false, not an error)."""
     out = np.zeros(len(left), dtype=bool)
-    for index in range(len(left)):
-        a = _to_python(left[index])
-        b = _to_python(right[index])
-        if a is None or b is None:
-            continue
-        try:
-            if op == "=":
-                out[index] = a == b
-            elif op == "<>":
-                out[index] = a != b
-            elif op == "<":
-                out[index] = a < b
-            elif op == "<=":
-                out[index] = a <= b
-            elif op == ">":
-                out[index] = a > b
-            else:
-                out[index] = a >= b
-        except TypeError:
-            out[index] = False
+    valid = ~(_missing(left) | _missing(right))
+    try:
+        out[valid] = _OBJECT_COMPARE[op](
+            left[valid].astype(object), right[valid].astype(object)
+        )
+    except TypeError:
+        pass
     return out
 
 
@@ -202,7 +283,7 @@ def compare(left: np.ndarray, right: np.ndarray, op: str) -> np.ndarray:
             else:
                 result = left >= right
         return np.asarray(result, dtype=bool)
-    return _compare_object(np.asarray(left, dtype=object), np.asarray(right, dtype=object), op)
+    return _compare_object(left, right, op)
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
@@ -298,8 +379,8 @@ def _evaluate_binary(expr: ast.BinaryOp, batch: Batch, context: ExecutionContext
             out[index] = None if a is None or b is None else f"{a}{b}"
         return out
     if op == "/":
-        left_f = _as_float(left)
-        right_f = _as_float(right)
+        left_f = as_float(left)
+        right_f = as_float(right)
         with np.errstate(divide="ignore", invalid="ignore"):
             result = left_f / right_f
         result[np.isinf(result)] = np.nan
@@ -328,7 +409,7 @@ def _object_arith(left: np.ndarray, right: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def _as_float(array: np.ndarray) -> np.ndarray:
+def as_float(array: np.ndarray) -> np.ndarray:
     if array.dtype == object:
         return np.array(
             [np.nan if v is None else float(v) for v in array], dtype=np.float64

@@ -454,6 +454,7 @@ class _Planner:
             tree = SortNode(tree, sort_keys)
         if statement.limit is not None or statement.offset is not None:
             tree = LimitNode(tree, statement.limit, statement.offset)
+        _prune_scan_columns(tree)
         return QueryPlan(tree, output_names)
 
     # -- cardinality estimates & feedback-driven join order ------------------
@@ -776,6 +777,54 @@ class _Planner:
             if str(item_expr) == key:
                 return name
         return None
+
+
+def _prune_scan_columns(root: PlanNode) -> None:
+    """Narrow every base-table scan of one SELECT to the columns it needs.
+
+    A scan keeps a column when any expression of the tree names it —
+    qualified with the scan's alias, or unqualified (then every scan that
+    has a column of that name keeps it, so an ambiguous reference stays
+    ambiguous). ``SELECT *`` was expanded into one reference per column
+    beforehand and therefore keeps them all. Derived tables are left
+    alone: their own planning pass pruned them against their own scope.
+    """
+    scans: list[ScanNode] = []
+    referenced: set[tuple[str | None, str]] = set()
+    nodes: list[Any] = [root]  # plan nodes and expressions, walked as one stack
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.ColumnRef):
+            referenced.add((node.table, node.name))
+        elif isinstance(node, SubqueryScanNode):
+            continue
+        elif isinstance(node, PlanNode):
+            if isinstance(node, ScanNode):
+                scans.append(node)
+            nodes.extend(_node_expressions(node))
+        nodes.extend(node.children())
+    for scan in scans:
+        scan.columns = [
+            column
+            for column in scan.columns
+            if (scan.alias, column) in referenced or (None, column) in referenced
+        ]
+
+
+def _node_expressions(node: PlanNode) -> list[ast.Expr]:
+    """Every expression a plan node evaluates over its input."""
+    if isinstance(node, ScanNode):
+        return [node.predicate] if node.predicate is not None else []
+    if isinstance(node, FilterNode):
+        return [node.predicate]
+    if isinstance(node, JoinNode):
+        exprs = [side for pair in node.equi for side in pair]
+        return exprs + ([node.residual] if node.residual is not None else [])
+    if isinstance(node, AggregateNode):
+        return [expr for expr, _name in node.group] + [call for call, _name in node.aggregates]
+    if isinstance(node, ProjectNode):
+        return [expr for expr, _name in node.items + node.hidden]
+    return []
 
 
 def _rewrite(expr: ast.Expr | None, mapping: dict[str, ast.Expr]) -> ast.Expr | None:

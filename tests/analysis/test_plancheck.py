@@ -102,6 +102,23 @@ def test_dropped_scan_column_is_rejected(database):
     assert any(f.check == "schema" and "not producible" in f.message for f in findings)
 
 
+def test_scan_pruned_below_its_parents_needs_is_never_cached(database):
+    """The planner narrows every scan to the referenced columns; a scan
+    narrowed further — below what a join key, group key or projection
+    above it names — must fail verification at plan-cache insert."""
+    sql = "SELECT t.c, SUM(s.a) FROM t JOIN s ON t.a = s.a WHERE t.b > 1 GROUP BY t.c"
+    entry, statement, plan = entry_of(sql, database)
+    assert verify_entry(entry, statement, catalog=database.catalog) == []
+    scans = {scan.alias: scan for scan in find(plan.root, ScanNode)}
+    assert sorted(scans["t"].columns) == ["a", "b", "c"] and scans["s"].columns == ["a"]
+    for alias, column, what in (("t", "a", "equi key"), ("t", "c", "group key"), ("s", "a", "equi key")):
+        kept = list(scans[alias].columns)
+        scans[alias].columns = [name for name in kept if name != column]
+        findings = verify_entry(entry, statement, catalog=database.catalog)
+        assert any(f.check == "schema" and what in f.message for f in findings), (alias, column)
+        scans[alias].columns = kept
+
+
 # -- corruption 2: scan selects a column the catalog does not define ----------------
 
 

@@ -28,11 +28,15 @@ def _normalise(rows):
 
 _db = Database()
 _db.execute("CREATE TABLE r (a INT, b DOUBLE, g VARCHAR)")
-_rows = ", ".join(
-    f"({i % 13}, {(i * 7) % 29}.5, 'g{i % 3}')" for i in range(150)
-)
-_db.execute(f"INSERT INTO r VALUES {_rows}")
+_rows = [f"({i % 13}, {(i * 7) % 29}.5, 'g{i % 3}')" for i in range(150)]
+# a merge between the inserts: two thirds of the rows (and a NULL row) sit
+# in the dictionary-encoded main fragment, the rest in the delta, so the
+# value-id predicates and the per-value delta path answer the same query
+_db.execute(f"INSERT INTO r VALUES {', '.join(_rows[:100])}")
 _db.execute("INSERT INTO r VALUES (NULL, NULL, NULL)")
+_db.merge("r")
+_db.execute(f"INSERT INTO r VALUES {', '.join(_rows[100:])}")
+_db.execute("INSERT INTO r VALUES (40, 3.5, 'g9')")
 
 
 @st.composite
@@ -46,6 +50,9 @@ def query_strategy(draw):
                 "WHERE a IN (1, 2, 3) OR b > 20",
                 "WHERE a IS NOT NULL",
                 "WHERE a BETWEEN 2 AND 9",
+                "WHERE g <> 'g1' AND a NOT IN (3, 4, 20)",
+                "WHERE g IN ('g0', 'g7') AND b >= 14.5",
+                "WHERE g = 'missing' OR a = 4",
             ]
         )
     )

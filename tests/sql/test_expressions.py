@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ColumnNotFoundError, ExpressionError
 from repro.sql.context import ExecutionContext
-from repro.sql.expressions import Batch, compare, evaluate, is_null_mask
+from repro.sql.expressions import Batch, Coded, compare, evaluate, is_null_mask
 from repro.sql.functions import FunctionRegistry
 from repro.sql.parser import parse_expression
 
@@ -66,6 +66,49 @@ def test_is_null_mask_all_representations():
     assert list(is_null_mask(np.array([1.0, np.nan]))) == [False, True]
     assert list(is_null_mask(np.array(["a", None], dtype=object))) == [False, True]
     assert list(is_null_mask(np.array([1, 2], dtype=np.int64))) == [False, False]
+
+
+def coded(values):
+    table = np.array(sorted({v for v in values if v is not None}) + [None], dtype=object)
+    lookup = {value: code for code, value in enumerate(table[:-1])}
+    return Coded(np.array([lookup.get(v, -1) for v in values], dtype=np.int64), table)
+
+
+def test_coded_column_moves_as_codes_and_decodes_on_demand(context):
+    batch = Batch({"t.s": coded(["b", None, "a", "b"]), "t.n": np.arange(4)})
+    kept = batch.filter(np.array([True, True, False, True])).take(np.array([2, 0, 1]))
+    assert isinstance(kept.columns["t.s"], Coded)  # filter/take never touch the values
+    assert kept.columns["t.s"].values is batch.columns["t.s"].values
+    assert list(kept.column("s")) == ["b", "b", None]  # column() hands out a plain array
+    assert list(eval_text("s = 'b'", kept, context)) == [True, True, False]
+    assert kept.rows() == [["b", 3], ["b", 0], [None, 1]]
+
+
+def test_coded_concat_appends_value_tables():
+    left, right = coded(["x", None]), Coded.from_values(np.array(["y", None, "x"], dtype=object))
+    merged = Batch.concat([Batch({"c": left}), Batch({"c": right})])
+    assert isinstance(merged.columns["c"], Coded)
+    assert merged.rows() == [["x"], [None], ["y"], [None], ["x"]]
+    mixed = Batch.concat([Batch({"c": left}), Batch({"c": np.array([1.5, np.nan])})])
+    assert mixed.rows() == [["x"], [None], [1.5], [None]]
+
+
+def test_rows_unbox_numpy_scalars_held_in_object_columns():
+    column = np.array([np.int64(3), np.float64("nan"), "s"], dtype=object)
+    rows = Batch({"c": column, "b": np.array([True, False, True])}).rows()
+    assert rows == [[3, True], [None, False], ["s", True]]
+    assert type(rows[0][0]) is int and type(rows[0][1]) is bool
+    assert Batch({}, 2).rows() == [[], []]
+
+
+def test_object_comparison_treats_nan_as_null_and_incomparable_as_false():
+    left = np.array([1.0, float("nan"), None, 3], dtype=object)
+    right = np.array([1.0, 2.0, 3.0, np.nan])
+    assert list(compare(left, right, "=")) == [True, False, False, False]
+    assert list(compare(left, right, "<>")) == [False, False, False, False]
+    words = np.array(["a", "b"], dtype=object)
+    assert list(compare(words, np.array([1, 2]), "<")) == [False, False]  # 'a' < 1: no error
+    assert list(compare(words, np.array([1, 2]), "<>")) == [True, True]
 
 
 def test_arithmetic_with_nan_propagates(batch, context):

@@ -130,3 +130,41 @@ def test_explain_renders_tree(catalog):
     assert "Scan t" in rendered
     assert "Aggregate" in rendered
     assert "Project" in rendered
+
+
+# -- projection pruning: a scan reads what the plan references ------------------
+
+
+def scan_columns(sql, catalog):
+    plan = plan_of(sql, catalog)
+    return {scan.alias: scan.columns for scan in find(plan.root, ScanNode)}
+
+
+def test_scan_keeps_only_referenced_columns(catalog):
+    assert scan_columns("SELECT a FROM t WHERE c = 'x'", catalog) == {"t": ["a", "c"]}
+    assert scan_columns("SELECT COUNT(*) FROM t", catalog) == {"t": []}
+    assert scan_columns("SELECT b + 1 AS x FROM t ORDER BY a", catalog) == {"t": ["a", "b"]}
+    assert scan_columns(
+        "SELECT t.c, COUNT(*) FROM t JOIN s ON t.a = s.a GROUP BY t.c HAVING MAX(t.b) > 1",
+        catalog,
+    ) == {"t": ["a", "b", "c"], "s": ["a"]}
+
+
+def test_star_keeps_every_column(catalog):
+    assert scan_columns("SELECT * FROM t", catalog) == {"t": ["a", "b", "c"]}
+    assert scan_columns("SELECT s.*, t.b FROM t JOIN s ON t.a = s.a", catalog) == {
+        "t": ["a", "b"],
+        "s": ["a", "d"],
+    }
+
+
+def test_unqualified_reference_keeps_the_column_on_every_scan_that_has_it(catalog):
+    # ``a`` stays on both sides: pruning must not turn an ambiguous
+    # reference into a resolvable one
+    columns = scan_columns("SELECT a, d FROM t JOIN s ON t.b = s.a", catalog)
+    assert columns == {"t": ["a", "b"], "s": ["a", "d"]}
+
+
+def test_derived_table_is_pruned_in_its_own_scope(catalog):
+    columns = scan_columns("SELECT x.a FROM (SELECT a, b FROM t WHERE c = 'k') x", catalog)
+    assert columns == {"t": ["a", "b", "c"]}
