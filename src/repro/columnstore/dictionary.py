@@ -132,20 +132,18 @@ class SortedDictionary:
         Because value order equals vid order, range predicates reduce to a
         vid interval — the key benefit of the sorted dictionary.
         """
-        return _range_vids(self._values, low, high, low_inclusive, high_inclusive)
-
-
-def _range_vids(
-    values: list[Any], low: Any, high: Any, low_inclusive: bool, high_inclusive: bool
-) -> tuple[int, int]:
-    """Bisect an ascending value list to the vid interval of a range."""
-    lo = 0
-    hi = len(values)
-    if low is not None:
-        lo = (bisect.bisect_left if low_inclusive else bisect.bisect_right)(values, low)
-    if high is not None:
-        hi = (bisect.bisect_right if high_inclusive else bisect.bisect_left)(values, high)
-    return lo, hi
+        lo = 0
+        hi = len(self._values)
+        if low is not None:
+            side = "left" if low_inclusive else "right"
+            lo = bisect.bisect_left(self._values, low) if side == "left" else bisect.bisect_right(self._values, low)
+        if high is not None:
+            hi = (
+                bisect.bisect_right(self._values, high)
+                if high_inclusive
+                else bisect.bisect_left(self._values, high)
+            )
+        return lo, hi
 
 
 class AppendDictionary:
@@ -216,17 +214,6 @@ class AppendDictionary:
         """True when insertion order happened to be sorted so far."""
         return self.stable_order_violations == 0
 
-    def range_vids(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> tuple[int, int]:
-        """Vid interval of a value range; only valid while :meth:`is_sorted`.
-
-        Insertion order that kept the "new keys sort last" guarantee *is*
-        value order, so the interval is exact; after a violation callers
-        must compare decoded values instead.
-        """
-        return _range_vids(self._values, low, high, low_inclusive, high_inclusive)
+    def range_vids(self, low: Any = None, high: Any = None, **_: Any) -> tuple[int, int]:
+        """Range predicates need a scan here; signalled by full interval."""
+        return 0, len(self._values)

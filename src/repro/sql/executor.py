@@ -66,6 +66,7 @@ import numpy as np
 from repro import obs
 from repro.columnstore.column import MainColumn
 from repro.columnstore.compression import NULL_VID
+from repro.columnstore.dictionary import SortedDictionary
 from repro.columnstore.partition import CompositePartitioning, RangePartitioning
 from repro.columnstore.table import ColumnTable, TablePartition
 from repro.core.types import TypeCode
@@ -73,7 +74,15 @@ from repro.errors import PlanError
 from repro.sql import ast
 from repro.sql import feedback as fb
 from repro.sql.context import ExecutionContext
-from repro.sql.expressions import Batch, Coded, Column, as_float, evaluate, is_null_mask
+from repro.sql.expressions import (
+    Batch,
+    Coded,
+    Column,
+    as_float,
+    concat_columns,
+    evaluate,
+    is_null_mask,
+)
 from repro.sql.planner import (
     AggregateNode,
     DistinctNode,
@@ -359,7 +368,7 @@ def filter_positions(
             code_columns.add(test[0])
     if on_codes and len(delta):
         exact = {
-            prefix + name: np.asarray(partition.delta[name].values, dtype=object)[delta - n_main]
+            prefix + name: _delta_rows(partition, name, delta, exact=True)
             for name in code_columns
         }
         mask = evaluate(ast.and_together(on_codes), Batch(exact, len(delta)), context)
@@ -429,8 +438,9 @@ def _main_mask(
 
     ``vid_of`` answers :data:`NULL_VID` for a literal the dictionary does
     not hold — the id the NULL rows carry — so an absent literal is
-    skipped, never compared. Ranges need value order to be id order;
-    without it the answer is None and the caller compares values.
+    skipped, never compared. Ranges need value order to be id order,
+    which only a :class:`SortedDictionary` promises; for an append-order
+    dictionary the answer is None and the caller compares values.
     """
     dictionary, encoded = column.dictionary, column.encoded
     if op in ("=", "<>", "IN"):
@@ -442,8 +452,8 @@ def _main_mask(
         if op != "<>" and not negated:
             return hit
         return ~hit & ~encoded.scan_eq(NULL_VID)[positions]
-    if not dictionary.is_sorted():
-        return None
+    if not isinstance(dictionary, SortedDictionary):
+        return None  # append order: value ids say nothing about value order
     if op == "BETWEEN":
         low, high = dictionary.range_vids(*literals)
     elif op in ("<", "<="):
@@ -455,6 +465,20 @@ def _main_mask(
     return ~inside & (vids != NULL_VID) if negated else inside
 
 
+def _delta_rows(
+    partition: TablePartition, name: str, positions: np.ndarray, exact: bool = False
+) -> np.ndarray:
+    """One column's delta-fragment rows at the given partition positions.
+
+    The analysis array of :meth:`DeltaColumn.array` — or, ``exact``, the
+    stored Python values as an object array: an INTEGER delta holding a
+    NULL is ``float64`` in the former, too coarse to compare beyond 2**53.
+    """
+    delta = partition.delta[name]
+    values = np.asarray(delta.values, dtype=object) if exact else delta.array()
+    return values[positions - partition.n_main]
+
+
 def _read_column(partition: TablePartition, name: str, positions: np.ndarray) -> Column:
     """One column at the given (ascending) positions — *values last*.
 
@@ -464,24 +488,19 @@ def _read_column(partition: TablePartition, name: str, positions: np.ndarray) ->
     row; every other type as a :class:`Coded` column over the main
     dictionary's decode table plus the delta rows read.
     """
-    main, delta = partition.main[name], partition.delta[name]
+    main = partition.main[name]
     split = int(np.searchsorted(positions, len(main)))
     coded = main.dtype.code not in _ARRAY_TYPES
-    parts: list[Any] = []
+    parts: list[Column] = []
     if len(main):
         vids = main.encoded.take(positions[:split])
         parts.append(Coded(vids, main.lookup()) if coded else main.lookup()[vids])
-    if len(delta):
-        values = delta.array()[positions[split:] - len(main)]
+    if len(partition.delta[name]):
+        values = _delta_rows(partition, name, positions[split:])
         parts.append(Coded.from_values(values) if coded else values)
-    if len(parts) < 2:
-        return parts[0] if parts else np.empty(0, dtype=object)
-    if coded:
-        return Coded.concat(parts)
-    if parts[0].dtype != parts[1].dtype:
-        target = object if object in (parts[0].dtype, parts[1].dtype) else np.float64
-        parts = [part.astype(target) for part in parts]
-    return np.concatenate(parts)
+    if not parts:
+        return np.empty(0, dtype=object)
+    return parts[0] if len(parts) == 1 else concat_columns(parts)
 
 
 def _simple_filter_triples(

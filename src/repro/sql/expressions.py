@@ -18,6 +18,7 @@ the only place the engine consumes booleans.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Iterable, Mapping
 
@@ -152,26 +153,25 @@ class Batch:
             return Batch({}, 0)
         if len(parts) == 1:
             return parts[0]
-        keys = parts[0].names
-        columns: dict[str, Column] = {}
-        for key in keys:
-            arrays = [part.columns[key] for part in parts]
-            if all(isinstance(array, Coded) for array in arrays):
-                columns[key] = Coded.concat(arrays)
-                continue
-            arrays = [a.decode() if isinstance(a, Coded) else a for a in arrays]
-            target = _common_dtype(arrays)
-            columns[key] = np.concatenate([a.astype(target, copy=False) for a in arrays])
+        columns = {
+            key: concat_columns([part.columns[key] for part in parts])
+            for key in parts[0].names
+        }
         return Batch(columns, sum(len(part) for part in parts))
 
 
-def _common_dtype(arrays: list[np.ndarray]) -> np.dtype:
+def concat_columns(parts: list[Column]) -> Column:
+    """One column out of consecutive pieces (batches, or the main and delta
+    fragments of a partition). Coded pieces stay coded; plain arrays of
+    different dtypes widen to ``object`` if any is, else to ``float64``."""
+    if all(isinstance(part, Coded) for part in parts):
+        return Coded.concat(parts)
+    arrays = [part.decode() if isinstance(part, Coded) else part for part in parts]
     dtypes = {array.dtype for array in arrays}
-    if len(dtypes) == 1:
-        return dtypes.pop()
-    if any(d == object for d in dtypes):
-        return np.dtype(object)
-    return np.dtype(np.float64)
+    if len(dtypes) > 1:
+        target = object if np.dtype(object) in dtypes else np.float64
+        arrays = [array.astype(target, copy=False) for array in arrays]
+    return np.concatenate(arrays)
 
 
 def _to_python(value: Any) -> Any:
@@ -232,13 +232,14 @@ _ARITH: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 _COMPARE = {"=", "<>", "<", "<=", ">", ">="}
 
 
-_OBJECT_COMPARE: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "=": np.equal,
-    "<>": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
+#: applied to two object arrays these compare element-wise, to two values once
+_OBJECT_COMPARE: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -250,16 +251,25 @@ def _missing(array: np.ndarray) -> np.ndarray:
 
 
 def _compare_object(left: np.ndarray, right: np.ndarray, op: str) -> np.ndarray:
-    """Python-semantics comparison; NULL never matches, and neither do
-    operands Python cannot order (``'a' < 1`` is false, not an error)."""
+    """Python-semantics comparison; NULL never matches, and neither does a
+    pair Python cannot order (``'a' < 1`` is false, not an error)."""
     out = np.zeros(len(left), dtype=bool)
     valid = ~(_missing(left) | _missing(right))
+    left, right = left[valid].astype(object), right[valid].astype(object)
+    holds = _OBJECT_COMPARE[op]
     try:
-        out[valid] = _OBJECT_COMPARE[op](
-            left[valid].astype(object), right[valid].astype(object)
-        )
+        out[valid] = holds(left, right)
     except TypeError:
-        pass
+        # mixed types (DOC_EXTRACT over heterogeneous JSON): the pairs that
+        # do compare keep their answer, only the offending ones are false
+
+        def or_false(a: Any, b: Any) -> bool:
+            try:
+                return bool(holds(a, b))
+            except TypeError:
+                return False
+
+        out[valid] = np.frompyfunc(or_false, 2, 1)(left, right)
     return out
 
 

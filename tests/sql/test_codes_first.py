@@ -51,6 +51,30 @@ def test_integer_predicates_are_exact_beside_a_null(nullable_bigint, predicate, 
     assert nullable_bigint.query(f"SELECT k FROM q WHERE {predicate}").rows == expected
 
 
+@pytest.mark.parametrize("merged", [False, True])
+def test_a_mixed_type_column_keeps_its_comparable_rows(merged):
+    """``DOC_EXTRACT`` over heterogeneous JSON yields ints, floats, strings
+    and NULLs in one object array: the row Python cannot order against the
+    literal is false, every other row answers as if it were not there."""
+    database = Database()
+    database.execute("CREATE TABLE items (id INT, doc DOCUMENT)")
+    database.execute(
+        "INSERT INTO items VALUES (1, '{\"price\": 5}'), (2, '{\"price\": \"n/a\"}'), "
+        "(3, '{\"price\": 2}'), (4, '{\"other\": 1}'), (5, '{\"price\": 7.5}')"
+    )
+    if merged:
+        database.merge("items")
+
+    def ids(predicate):
+        sql = f"SELECT id FROM items WHERE DOC_EXTRACT(doc, '$.price') {predicate} ORDER BY id"
+        return [row[0] for row in database.query(sql).rows]
+
+    assert ids("> 3") == [1, 5]
+    assert ids("<= 5") == [1, 3]
+    assert ids("<> 5") == [2, 3, 5]
+    assert ids("BETWEEN 2 AND 5") == [1, 3]
+
+
 # -- the work that must not come back ------------------------------------------------
 
 

@@ -100,8 +100,25 @@ def stored(request):
 
 @pytest.fixture(scope="module")
 def db():
-    """The original fixture: every row still in the delta."""
-    return build_database("delta", True, "single")
+    database = Database()
+    database.execute(
+        "CREATE TABLE li (id INT, qty INT, price DOUBLE, cust VARCHAR, region VARCHAR)"
+    )
+    rng = random.Random(9)
+    rows = []
+    for index in range(800):
+        rows.append(
+            f"({index}, {rng.randint(1, 9)}, {rng.random() * 100:.4f}, "
+            f"'c{index % 17}', '{['EU', 'US', 'APJ'][index % 3]}')"
+        )
+    database.execute("INSERT INTO li VALUES " + ", ".join(rows))
+    database.execute("INSERT INTO li VALUES (9999, 1, NULL, NULL, 'EU')")
+    database.execute("CREATE TABLE cust (cid VARCHAR, tier VARCHAR)")
+    database.execute(
+        "INSERT INTO cust VALUES "
+        + ", ".join(f"('c{i}', 'tier{i % 3}')" for i in range(17))
+    )
+    return database
 
 
 QUERIES = [

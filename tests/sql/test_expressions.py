@@ -111,6 +111,16 @@ def test_object_comparison_treats_nan_as_null_and_incomparable_as_false():
     assert list(compare(words, np.array([1, 2]), "<>")) == [True, True]
 
 
+def test_object_comparison_keeps_the_comparable_rows_of_a_mixed_column():
+    """One pair Python cannot order is false; its neighbours keep their answer."""
+    mixed = np.array(["a", 5, None, 2, 7.5], dtype=object)
+    three = np.full(5, 3, dtype=np.int64)
+    assert list(compare(mixed, three, "<")) == [False, False, False, True, False]
+    assert list(compare(mixed, three, ">")) == [False, True, False, False, True]
+    assert list(compare(three, mixed, "<=")) == [False, True, False, False, True]
+    assert list(compare(mixed, three, "<>")) == [True, True, False, True, True]
+
+
 def test_arithmetic_with_nan_propagates(batch, context):
     result = eval_text("a + b", batch, context)
     assert result[0] == 11.0
