@@ -15,7 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from repro.errors import ClusterError, NetworkPartitionedError, NodeUnavailableError
+from repro.sql.expressions import Coded, Column
 
 
 @dataclass
@@ -254,6 +257,15 @@ def approx_values_bytes(values: Iterable[Any]) -> int:
     key: strings ship their text plus a terminator, everything else 8 bytes.
     The one sizing rule behind every transfer the SOE accounts for."""
     return sum(len(value) + 1 if isinstance(value, str) else 8 for value in values)
+
+
+def approx_column_bytes(column: Column) -> int:
+    """:func:`approx_values_bytes` of a column in array form: a coded column
+    is sized per table entry, numbers without a visit to the rows."""
+    if isinstance(column, Coded):
+        sizes = [approx_values_bytes((value,)) for value in column.values.tolist()]
+        return int(np.asarray(sizes)[column.codes].sum())
+    return approx_values_bytes(column.tolist()) if column.dtype == object else 8 * len(column)
 
 
 def approx_row_bytes(row: Any) -> int:

@@ -309,7 +309,7 @@ class SoeEngine:
             table=table.lower(),
             group_by=tuple(c.lower() for c in group_by),
             aggregates=tuple(AggregateSpec(op, col and col.lower()) for op, col in aggregates),
-            filters=tuple(Filter(*f) for f in filters),
+            filters=tuple(Filter(column.lower(), op, value) for column, op, value in filters),
             consistency=consistency,
         )
         return self.coordinator.run_aggregate(query)

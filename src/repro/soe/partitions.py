@@ -9,28 +9,63 @@ A :class:`PrepackagedPartition` is a self-contained columnar chunk —
 schema, column arrays, id — that can be shipped between nodes as one
 payload. The SOE relaxes the core store's compression requirements
 (§IV.A): columns are plain arrays with append dictionaries, no resorting.
+The arrays are the ones the shared operator kernels
+(:mod:`repro.sql.kernels`) take: a typed NumPy array, or a
+:class:`~repro.sql.expressions.Coded` column over the append dictionary.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import SoeError
 from repro.soe.cluster import approx_row_bytes
+from repro.sql.expressions import Coded, Column, compare, python_values
+from repro.sql.kernels import group_ids, nulls
+
+
+def _typed_array(values: list[Any]) -> np.ndarray | None:
+    """Python values as a typed array — ``int64``, ``bool``, or ``float64``
+    with NULL as NaN — or None when they need a dictionary: strings, a NULL
+    among integers (``float64`` would round them), mixed types, integers
+    beyond ``int64``."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return None
+    if kinds == {bool}:
+        return np.array(values, dtype=bool)
+    if float in kinds and kinds <= {float, type(None)}:
+        return np.array(values, dtype=np.float64)
+    return None
 
 
 class PrepackagedPartition:
-    """One shippable horizontal partition of one table."""
+    """One shippable horizontal partition of one table.
+
+    A write appends to per-column Python lists and nothing else. A column
+    is put in array form when a query first reads it, and after later
+    writes only the values appended since are encoded and joined to the
+    array: integers, floats and booleans as a typed array, anything else as
+    codes into the column's append dictionary. Columns no query touches are
+    never encoded.
+    """
 
     def __init__(self, table: str, partition_id: int, columns: Sequence[str]) -> None:
         self.table = table
         self.partition_id = partition_id
         self.columns = [name.lower() for name in columns]
-        self._data: dict[str, list[Any]] = {name: [] for name in self.columns}
-        self._arrays: dict[str, np.ndarray] | None = None
+        #: each column's first rows in array form (None: nothing read yet)
+        self._stored: dict[str, Column | None] = dict.fromkeys(self.columns)
+        #: the append dictionaries of the coded columns: value -> code
+        self._codes: dict[str, dict[Any, int]] = {}
+        #: per column, the values appended since it was last read
+        self._pending: dict[str, list[Any]] = {name: [] for name in self.columns}
 
     # -- writes ----------------------------------------------------------------
 
@@ -40,56 +75,87 @@ class PrepackagedPartition:
                 f"row width {len(row)} != {len(self.columns)} for {self.table}"
             )
         for name, value in zip(self.columns, row):
-            self._data[name].append(value)
-        self._arrays = None
+            self._pending[name].append(value)
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> None:
         for row in rows:
             self.append_row(row)
 
-    def delete_where(self, predicate: Callable[[list[Any]], bool]) -> int:
-        """Delete matching rows (compacting; SOE is read-optimised)."""
-        keep: list[int] = []
-        removed = 0
-        for index, row in enumerate(self.rows()):
-            if predicate(list(row)):
-                removed += 1
-            else:
-                keep.append(index)
+    def delete_where(self, column: str, value: Any) -> int:
+        """Delete the rows whose ``column`` equals ``value`` (compacting; SOE
+        is read-optimised). Returns the number of rows removed."""
+        doomed = nulls(self.column(column)) if value is None else self.compare(column, "=", value)
+        removed = int(doomed.sum())
         if removed:
             for name in self.columns:
-                values = self._data[name]
-                self._data[name] = [values[index] for index in keep]
-            self._arrays = None
+                self._stored[name] = self.column(name)[~doomed]
         return removed
 
     # -- reads -------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._data[self.columns[0]]) if self.columns else 0
+        if not self.columns:
+            return 0
+        stored = self._stored[self.columns[0]]
+        return (0 if stored is None else len(stored)) + len(self._pending[self.columns[0]])
 
-    def column(self, name: str) -> np.ndarray:
-        """The column as a NumPy array (cached)."""
+    def column(self, name: str) -> Column:
+        """The column in array form: a typed array or a coded column."""
         name = name.lower()
-        if name not in self._data:
+        if name not in self._pending:
             raise SoeError(f"no column {name!r} in {self.table}")
-        if self._arrays is None:
-            from repro.sql.functions import narrow_to_array
+        if self._pending[name]:
+            self._stored[name] = self._append(name, self._pending[name])
+            self._pending[name] = []
+        stored = self._stored[name]
+        return np.empty(0, dtype=np.int64) if stored is None else stored
 
-            self._arrays = {
-                key: narrow_to_array(values) for key, values in self._data.items()
-            }
-        return self._arrays[name]
+    def _append(self, name: str, values: list[Any]) -> Column:
+        """The stored column followed by ``values``, encoded. The Python-level
+        work is per value appended (the array is re-joined with one copy,
+        which the scan that asked for it dwarfs) — unless the values do not
+        fit the stored array's type, which re-codes the column, once."""
+        stored = self._stored[name]
+        if not isinstance(stored, Coded):
+            tail = _typed_array(values)
+            if tail is not None and (stored is None or stored.dtype == tail.dtype):
+                return tail if stored is None else np.concatenate([stored, tail])
+            if stored is not None:
+                values = python_values(stored) + values
+            self._codes[name] = {}
+            stored = Coded(np.empty(0, dtype=np.int64), np.array([None], dtype=object))
+        code_of = self._codes[name]
+        codes = np.fromiter(
+            (-1 if value is None else code_of.setdefault(value, len(code_of)) for value in values),
+            dtype=np.int64,
+            count=len(values),
+        )
+        table = stored.values
+        if len(table) <= len(code_of):  # the dictionary grew
+            table = np.fromiter([*code_of, None], dtype=object, count=len(code_of) + 1)
+        return Coded(np.concatenate([stored.codes, codes]), table)
 
-    def column_list(self, name: str) -> list[Any]:
-        """The column as the raw Python value list (kernel fast path)."""
-        name = name.lower()
-        if name not in self._data:
-            raise SoeError(f"no column {name!r} in {self.table}")
-        return self._data[name]
+    def compare(self, name: str, op: str, value: Any) -> np.ndarray:
+        """``column <op> value`` per row; a NULL never passes. On a coded
+        column ``=`` and ``<>`` are one dictionary lookup and an integer test
+        on the codes, an order comparison visits each dictionary entry once."""
+        column = self.column(name)
+        coded = isinstance(column, Coded)
+        if coded and op in ("=", "<>"):
+            hit = column.codes == self._codes[name.lower()].get(value, -2)  # -2: on no row
+            return hit if op == "=" else ~hit & (column.codes >= 0)
+        entries = column.values if coded else column
+        kind = None if isinstance(value, (int, float)) else object
+        mask = compare(entries, np.full(len(entries), value, dtype=kind), op)
+        return mask[column.codes] if coded else mask
+
+    def _values(self, name: str) -> list[Any]:
+        """The column as Python values, without encoding anything."""
+        stored = self._stored[name]
+        return ([] if stored is None else python_values(stored)) + self._pending[name]
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
-        yield from zip(*(self._data[name] for name in self.columns))
+        yield from zip(*map(self._values, self.columns))
 
     def size_bytes(self) -> int:
         """Approximate payload size when shipped."""
@@ -103,13 +169,13 @@ class PrepackagedPartition:
             "table": self.table,
             "partition_id": self.partition_id,
             "columns": list(self.columns),
-            "data": {name: list(values) for name, values in self._data.items()},
+            "data": {name: self._values(name) for name in self.columns},
         }
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "PrepackagedPartition":
         partition = cls(payload["table"], payload["partition_id"], payload["columns"])
-        partition._data = {name: list(values) for name, values in payload["data"].items()}
+        partition._pending = {name: list(values) for name, values in payload["data"].items()}
         return partition
 
 
@@ -134,6 +200,15 @@ def route_row(row: Sequence[Any], key_positions: Sequence[int], partition_count:
     """Partition ordinal for one row: the SOE's one hash-routing rule."""
     key = "\x1f".join(repr(row[position]) for position in key_positions)
     return zlib.crc32(key.encode("utf-8")) % partition_count
+
+
+def route_column(keys: Column, partition_count: int) -> np.ndarray:
+    """:func:`route_row`'s ordinal for every row of a single-column key,
+    worked out once per distinct key value."""
+    ids, first = group_ids([keys], len(keys))
+    distinct = python_values(keys[first])
+    ordinals = [route_row((value,), (0,), partition_count) for value in distinct]
+    return np.asarray(ordinals, dtype=np.int64)[ids]
 
 
 class LocalStore:

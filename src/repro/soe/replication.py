@@ -70,10 +70,7 @@ def apply_to_partition(
                     partition.append_row(row)
                     touched += 1
         elif kind == "delete":
-            column = operation["column"]
-            value = operation["value"]
-            position = partition.columns.index(column.lower())
-            touched += partition.delete_where(lambda row: row[position] == value)
+            touched += partition.delete_where(operation["column"], operation["value"])
         else:
             raise SoeError(f"unknown log operation {kind!r}")
     return touched
@@ -434,15 +431,11 @@ class DataNode:
                         self.store.partition(table, target).append_row(row)
                         self.applies += 1
             elif kind == "delete":
-                column = operation["column"]
-                value = operation["value"]
                 for partition in self.store.partitions_of(table):
-                    if partition.partition_id not in owned:
-                        continue
-                    position = partition.columns.index(column.lower())
-                    self.applies += partition.delete_where(
-                        lambda row: row[position] == value
-                    )
+                    if partition.partition_id in owned:
+                        self.applies += partition.delete_where(
+                            operation["column"], operation["value"]
+                        )
             else:
                 raise SoeError(f"unknown log operation {kind!r}")
 

@@ -5,14 +5,16 @@ a client's aggregate/join query arrives here, becomes a task DAG, and
 fans out to the v2lqp query services before partial results merge back.
 
 Translates a query into one task DAG (see :mod:`repro.soe.tasks`) and then
-only plans, ships and merges: worker tasks run on the query services
-(every row is filtered, joined and accumulated there, by the one generated
-kernel of :mod:`repro.soe.codegen`), every edge between nodes is charged to
-the cluster's network model, and the DAG's last task merges the partial
-states here. "These plans can lead to strong speedup results compared
-to single machine execution ... if the plans are specifically tailored for
-a clustered execution in combination with efficient communication
-algorithms" [13] — hence the three join strategies (broadcast,
+only plans, ships and merges: column names are resolved against the catalog
+before a task exists, worker tasks run on the query services (rows are
+filtered, joined and reduced there, by the operator kernels shared with the
+core executor, :mod:`repro.sql.kernels`), every edge between nodes is
+charged to the cluster's network model at the size the shipped result
+reports for itself, and the DAG's last task merges the partial states here
+— the same grouped reduction once more. "These plans can lead to strong
+speedup results compared to single machine execution ... if the plans are
+specifically tailored for a clustered execution in combination with
+efficient communication algorithms" [13] — hence the three join strategies (broadcast,
 repartition, co-located): the same ``build_hash`` → ``join_partial``
 tasks, differing only in who ships what to whom, whose communication
 volumes benchmark E7 compares.
@@ -38,11 +40,10 @@ from repro.errors import (
     TransferDroppedError,
 )
 from repro.soe.cluster import SimulatedCluster
-from repro.soe.codegen import finalize_groups, merge_group_states, merge_hash_tables
 from repro.soe.services.catalog_service import CatalogService
 from repro.soe.services.query_service import QueryService
 from repro.soe.services.transaction_broker import TransactionBroker
-from repro.soe.tasks import AggregateSpec, Filter, TaskDag
+from repro.soe.tasks import AggregateSpec, Filter, GroupStates, HashTable, TaskDag
 from repro.util.retry import RetryPolicy, SimulatedClock
 
 
@@ -69,6 +70,10 @@ class JoinQuery:
     aggregates: tuple[AggregateSpec, ...]
     strategy: str = "auto"       # auto | broadcast | repartition | colocated
     consistency: str = "eventual"
+
+    @property
+    def group_by(self) -> tuple[str, ...]:
+        return (self.group_column,)
 
 
 @dataclass
@@ -195,7 +200,7 @@ class Coordinator:
         retry policy rather than failing the whole plan; every resend pays
         backoff on the simulated clock. A node-local hand-off is free, so
         it is not sized either."""
-        payload_bytes = QueryService.result_bytes(result) if source != target else 0
+        payload_bytes = result.size_bytes() if source != target else 0
         last: TransferDroppedError | None = None
         for attempt, delay in self.retry_policy.schedule():
             if attempt:
@@ -313,11 +318,11 @@ class Coordinator:
                 self._transfer(producer.node_id, task.node_id, result, cost)
                 inputs[input_id] = result
             if task.kind == "merge_aggregate":
-                results[task.task_id] = merge_group_states(
-                    list(inputs.values()), task.params["aggregates"]
+                results[task.task_id] = GroupStates.merge(
+                    list(inputs.values()), task.params["aggregates"], task.params["keys"]
                 )
             elif task.kind == "merge_hash":
-                results[task.task_id] = merge_hash_tables(list(inputs.values()))
+                results[task.task_id] = HashTable.concat(list(inputs.values()))
             else:
                 results[task.task_id] = self._service_for(task.node_id).execute(
                     task, inputs
@@ -356,10 +361,10 @@ class Coordinator:
             merge = dag.add(
                 "merge_aggregate",
                 self.node_id,
-                {"aggregates": query.aggregates},
+                {"aggregates": query.aggregates, "keys": len(query.group_by)},
                 place(dag, query, cost),
             )
-            return finalize_groups(self._run_dag(dag, cost)[merge.task_id], query.aggregates)
+            return self._run_dag(dag, cost)[merge.task_id].rows(query.aggregates)
 
         with obs.timed("soe.coordinator.plan_seconds", strategy=strategy) as timer:
             rows = self._recover(cost, attempt)
@@ -371,8 +376,17 @@ class Coordinator:
 
     # -- aggregate queries -----------------------------------------------------------
 
+    def _check_columns(self, table: str, *names: str | None) -> None:
+        """Plan-time name resolution: a query naming a column the catalog
+        does not know is refused before any task is dispatched."""
+        unknown = {*names} - {None, *self.catalog.table(table).columns}
+        if unknown:
+            raise CoordinationError(f"no column {sorted(unknown)} in SOE table {table!r}")
+
     def run_aggregate(self, query: AggregateQuery) -> tuple[list[list[Any]], PlanCost]:
         """Partial aggregation at the data, merge at the coordinator."""
+        specs = (*query.filters, *query.aggregates)
+        self._check_columns(query.table, *query.group_by, *(spec.column for spec in specs))
         return self._execute("partial-aggregate", [query.table], query, self._place_aggregate)
 
     def _place_aggregate(self, dag: TaskDag, query: AggregateQuery, cost: PlanCost) -> list[int]:
@@ -394,6 +408,8 @@ class Coordinator:
     # -- join queries ---------------------------------------------------------------------
 
     def run_join(self, query: JoinQuery) -> tuple[list[list[Any]], PlanCost]:
+        self._check_columns(query.fact_table, query.fact_key, *(a.column for a in query.aggregates))
+        self._check_columns(query.dim_table, query.dim_key, query.group_column)
         strategy = query.strategy
         if strategy == "auto":
             strategy = self._choose_join_strategy(query)

@@ -3,12 +3,15 @@
 "At the core is the SAP HANA SOE local query processing executable (v2lqp)
 which contains a query and a data service." The query service executes
 coordinator tasks against the node-local prepackaged partitions — or, for
-a repartition join, against the bucket shipped to it — compiling each
-task's kernel first: aggregates and join probes alike run
-:func:`repro.soe.codegen.run_partial_aggregate`, this module only picks
-the partitions and builds hash tables and shuffle buckets. The data
-service (:class:`~repro.soe.replication.DataNode`) owns the partitions and
-applies the shared log.
+a repartition join, against the buckets shipped to it — through the
+operator kernels it shares with the core's vectorised executor
+(:mod:`repro.sql.kernels`): filters run on the partitions' codes, grouping,
+join matching and the grouped reductions on their arrays; no task visits a
+row in Python. This module only picks what a task reads and hands columns
+to kernels; its results are the columnar :class:`~repro.soe.tasks.Columns`,
+:class:`~repro.soe.tasks.HashTable` and :class:`~repro.soe.tasks.GroupStates`.
+The data service (:class:`~repro.soe.replication.DataNode`) owns the
+partitions and applies the shared log.
 
 **Role in the query path:** the leaf executor of the SOE — the v2dqp
 coordinator's task DAG lands here, one task at a time, and only partial
@@ -22,20 +25,17 @@ the v2stats service reads to spot hotspots.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.errors import CoordinationError
-from repro.soe.cluster import approx_values_bytes
-from repro.soe.codegen import (
-    GroupStates,
-    HashTable,
-    estimate_states_bytes,
-    run_partial_aggregate,
-)
-from repro.soe.partitions import PrepackagedPartition, route_row
+from repro.soe.partitions import route_column
 from repro.soe.replication import DataNode
-from repro.soe.tasks import Task
+from repro.soe.tasks import Columns, Filter, GroupStates, HashTable, Task
+from repro.sql.expressions import Batch
+from repro.sql.kernels import join_pairs, match_keys, nulls
 
 
 class QueryService:
@@ -70,93 +70,87 @@ class QueryService:
                     f"query service cannot execute task kind {task.kind!r}"
                 )
 
-    # -- kernels ------------------------------------------------------------------
+    # -- tasks ---------------------------------------------------------------------
 
-    def _partitions(
-        self, task: Task, shipped: Iterable[PrepackagedPartition] = ()
-    ) -> list[PrepackagedPartition]:
-        """What a task reads: the local partitions its params name, then
-        the shuffle buckets shipped to it. Only local reads count into
-        ``rows_processed`` — the per-node load v2stats balances on."""
+    def _read(
+        self,
+        task: Task,
+        names: Iterable[str],
+        shipped: Iterable[Batch] = (),
+        filters: Sequence[Filter] = (),
+    ) -> Batch:
+        """What a task reads: the named columns of the local partitions its
+        params name, then of the shuffle buckets shipped to it — the rows
+        that pass every filter, in source then row order. Only local reads
+        count into ``rows_processed``, the per-node load v2stats balances on."""
         store = self.data_node.store
         table = task.params["table"]
         partitions = [store.partition(table, pid) for pid in task.params["partitions"]]
         self.rows_processed += sum(len(partition) for partition in partitions)
-        return [*partitions, *shipped]
+        names = list(dict.fromkeys(names))
+        pieces = []
+        for partition in partitions:
+            if not len(partition):  # never held a row: its columns have no type yet
+                continue
+            piece = Batch({name: partition.column(name) for name in names}, len(partition))
+            if filters:
+                masks = [partition.compare(f.column, f.op, f.value) for f in filters]
+                piece = piece.filter(np.logical_and.reduce(masks))
+            pieces.append(piece)
+        pieces.extend(shipped)
+        if not pieces:
+            return Batch({name: np.empty(0, dtype=np.int64) for name in names}, 0)
+        return Batch.concat(pieces)
 
     def _partial_aggregate(self, task: Task) -> GroupStates:
         params = task.params
-        return run_partial_aggregate(
-            self._partitions(task),
-            params["filters"],
-            params["group_by"],
-            params["aggregates"],
+        aggregates = params["aggregates"]
+        inputs = [aggregate.column for aggregate in aggregates]
+        rows = self._read(
+            task, [*params["group_by"], *filter(None, inputs)], filters=params["filters"]
+        )
+        return GroupStates.reduce(
+            [rows.columns[name] for name in params["group_by"]],
+            rows.length,
+            [(rows.columns.get(name), None) for name in inputs],
+            aggregates,
         )
 
     def _build_hash(self, task: Task, inputs: dict[int, Any]) -> HashTable:
-        """Materialise a (small) table side as join key → group keys; NULL
-        keys join nothing and are left out."""
+        """Materialise a (small) table side as join keys plus the group key
+        values they carry; NULL keys join nothing and are left out."""
         params = task.params
-        table_hash: HashTable = {}
-        for partition in self._partitions(task, inputs.values()):
-            keys = partition.column_list(params["key_column"])
-            group_keys = zip(*(partition.column_list(c) for c in params["columns"]))
-            for key, group_key in zip(keys, group_keys):
-                if key is not None:
-                    table_hash.setdefault(key, []).append(group_key)
-        return table_hash
+        rows = self._read(task, [params["key_column"], *params["columns"]], inputs.values())
+        key = rows.columns[params["key_column"]]
+        keep = ~nulls(key)
+        return HashTable(key[keep], [rows.columns[name][keep] for name in params["columns"]])
 
     def _join_partial(self, task: Task, inputs: dict[int, Any]) -> GroupStates:
-        """Probe the fact partitions against the hash table (the first
-        input) and aggregate: the partial-aggregate kernel's probe variant."""
+        """Match the fact rows with the hash table (the first input) and
+        aggregate the pairs under the table's group keys: a partial
+        aggregate whose rows are the join's output."""
         params = task.params
-        hash_table, *shipped = inputs.values()
-        return run_partial_aggregate(
-            self._partitions(task, shipped),
-            [],
-            [],
-            params["aggregates"],
-            probe=(params["key_column"], hash_table),
+        table, *shipped = inputs.values()
+        aggregates = params["aggregates"]
+        rows = self._read(task, [params["key_column"], *params["columns"]], shipped)
+        keys, missing = match_keys([rows.columns[params["key_column"]], table.key])
+        fact_rows, dim_rows, _counts = join_pairs(keys[0], ~missing[0], keys[1], ~missing[1])
+        return GroupStates.reduce(
+            [column[dim_rows] for column in table.payload],
+            len(fact_rows),
+            [(a.column and rows.columns[a.column][fact_rows], None) for a in aggregates],
+            aggregates,
         )
 
-    def _scan_ship(self, task: Task) -> dict[int, PrepackagedPartition]:
+    def _scan_ship(self, task: Task) -> dict[int, Columns]:
         """Project local rows onto the key and payload columns and hash-
-        partition them on the key for a repartition shuffle: bucket → one
-        prepackaged (column-wise) partition, ready to ship; empty buckets
-        are left out."""
+        partition them on the key for a repartition shuffle: bucket → its
+        rows, column-wise and ready to ship; empty buckets are left out."""
         params = task.params
-        columns = list(dict.fromkeys([params["key_column"], *params["columns"]]))
-        key_positions, bucket_count = [0], params["buckets"]
-        bucket_rows: list[list[tuple]] = [[] for _ in range(bucket_count)]
-        for partition in self._partitions(task):
-            for row in zip(*(partition.column_list(c) for c in columns)):
-                bucket_rows[route_row(row, key_positions, bucket_count)].append(row)
-        return {
-            bucket: PrepackagedPartition.from_payload(
-                {
-                    "table": params["table"],
-                    "partition_id": bucket,
-                    "columns": columns,
-                    "data": dict(zip(columns, zip(*rows))),
-                }
-            )
-            for bucket, rows in enumerate(bucket_rows)
-            if rows
-        }
-
-    # -- result sizing (for network accounting) -------------------------------------
-
-    @staticmethod
-    def result_bytes(result: Any) -> int:
-        """Shipped size of a task result: a prepackaged partition, a hash
-        table, or partial-aggregate states."""
-        if isinstance(result, PrepackagedPartition):
-            return sum(
-                approx_values_bytes(result.column_list(name)) for name in result.columns
-            )
-        first = next(iter(result.values()), None)
-        if isinstance(first, list) and first and isinstance(first[0], tuple):
-            return approx_values_bytes(result) + sum(
-                approx_values_bytes(row) for rows in result.values() for row in rows
-            )
-        return estimate_states_bytes(result)
+        rows = self._read(task, [params["key_column"], *params["columns"]])
+        buckets = route_column(rows.columns[params["key_column"]], params["buckets"])
+        shuffle = {}
+        for bucket in np.unique(buckets).tolist():
+            part = rows.filter(buckets == bucket)
+            shuffle[bucket] = Columns(part.columns, len(part))
+        return shuffle

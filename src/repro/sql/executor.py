@@ -30,7 +30,7 @@ and dates to a :class:`~repro.sql.expressions.Coded` column (codes plus
 value table). Coded columns stay coded through filters, gathers, joins
 and projections of bare column references; ``GROUP BY``, ``DISTINCT``,
 ``COUNT(DISTINCT)``, equi-join keys, ``MIN``/``MAX`` and ``ORDER BY``
-work on integer stand-ins (:func:`_match_keys`, :func:`_rank_table`) whose
+work on integer stand-ins (:func:`repro.sql.kernels.match_keys`, :func:`~repro.sql.kernels.rank_table`) whose
 only Python-level work is per *distinct* value. Values appear when an
 expression is evaluated (``Batch.column``) or rows are produced
 (``Batch.rows``). Result order without ``ORDER BY`` is defined: groups by
@@ -81,7 +81,17 @@ from repro.sql.expressions import (
     as_float,
     concat_columns,
     evaluate,
-    is_null_mask,
+)
+from repro.sql.kernels import (
+    as_coded,
+    group_ids,
+    grouped_count,
+    grouped_extreme,
+    grouped_sum,
+    join_pairs,
+    match_keys,
+    nulls,
+    rank_table,
 )
 from repro.sql.planner import (
     AggregateNode,
@@ -665,26 +675,11 @@ def _execute_join(node: JoinNode, context: ExecutionContext) -> Batch:
     left = _execute_node(node.left, context)
     right = _execute_node(node.right, context)
 
-    if node.kind == "cross" and not node.equi:
-        joined = _cross_join(left, right)
-    else:
-        joined = _equi_join(left, right, node, context)
+    joined = _equi_join(left, right, node, context)
     if node.residual is not None:
         mask = np.asarray(evaluate(node.residual, joined, context), dtype=bool)
         joined = joined.filter(mask)
     return joined
-
-
-def _cross_join(left: Batch, right: Batch) -> Batch:
-    n_left, n_right = len(left), len(right)
-    left_index = np.repeat(np.arange(n_left), n_right)
-    right_index = np.tile(np.arange(n_right), n_left)
-    columns: dict[str, np.ndarray] = {}
-    for key, array in left.columns.items():
-        columns[key] = array[left_index]
-    for key, array in right.columns.items():
-        columns[key] = array[right_index]
-    return Batch(columns, n_left * n_right)
 
 
 def _operand(expr: ast.Expr, batch: Batch, context: ExecutionContext) -> Column:
@@ -693,59 +688,6 @@ def _operand(expr: ast.Expr, batch: Batch, context: ExecutionContext) -> Column:
     if isinstance(expr, ast.ColumnRef):
         return batch.columns[batch.resolve(expr.name, expr.table)]
     return np.asarray(evaluate(expr, batch, context))
-
-
-def _nulls(column: Column) -> np.ndarray:
-    return column.codes < 0 if isinstance(column, Coded) else is_null_mask(column)
-
-
-def _as_coded(column: Column) -> Coded:
-    if isinstance(column, Coded):
-        return column
-    if column.dtype != object:
-        nulls = is_null_mask(column)
-        column = column.astype(object)
-        column[nulls] = None
-    return Coded.from_values(column)
-
-
-def _match_keys(columns: list[Column]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Numeric stand-ins for columns that are compared with each other.
-
-    Returns ``(keys, nulls)``: across all given columns two rows hold equal
-    values exactly when their keys are equal (NULL rows are flagged in
-    ``nulls`` and carry an arbitrary key). Numbers stand for themselves;
-    object and coded columns get one integer per distinct value — the only
-    Python-level work, and it is per table entry, not per row.
-    """
-    if not any(column.dtype == object for column in columns):
-        kind = np.float64 if any(c.dtype.kind == "f" for c in columns) else np.int64
-        keys = [column.astype(kind, copy=False) for column in columns]
-        return keys, [is_null_mask(key) for key in keys]
-    seen: dict[Any, int] = {}
-    keys, nulls = [], []
-    for coded in map(_as_coded, columns):
-        table = np.fromiter(
-            (seen.setdefault(value, len(seen)) for value in coded.values.tolist()),
-            dtype=np.int64,
-            count=len(coded.values),
-        )
-        keys.append(table[coded.codes])
-        nulls.append(coded.codes < 0)
-    return keys, nulls
-
-
-def _rank_table(coded: Coded) -> tuple[np.ndarray, np.ndarray]:
-    """``(ranks, ordered)``: each row's position in the ascending order of
-    the column's distinct values (NULL ranks last), and those values with a
-    trailing ``None`` so that ``ordered[ranks]`` is the column again."""
-    table = coded.values.tolist()
-    ordered = sorted(set(table) - {None})
-    rank_of = {value: rank for rank, value in enumerate(ordered)}
-    rank_of[None] = len(ordered)
-    ranks = np.fromiter((rank_of[value] for value in table), dtype=np.int64, count=len(table))
-    ordered.append(None)
-    return ranks[coded.codes], np.fromiter(ordered, dtype=object, count=len(ordered))
 
 
 def _join_keys(
@@ -758,7 +700,7 @@ def _join_keys(
     right_ok = np.ones(len(right), dtype=bool)
     for index, (left_expr, right_expr) in enumerate(node.equi):
         columns = [_operand(left_expr, left, context), _operand(right_expr, right, context)]
-        (left_part, right_part), (left_null, right_null) = _match_keys(columns)
+        (left_part, right_part), (left_null, right_null) = match_keys(columns)
         left_ok &= ~left_null
         right_ok &= ~right_null
         if index == 0:
@@ -781,34 +723,22 @@ def _equi_join(
 
     Output order is the hash join's: left rows in order, each with its
     matches in ascending right position, then (``LEFT``) the unmatched
-    left rows. NULL keys never join.
+    left rows. NULL keys never join. Without equi pairs every row matches
+    every row: the cross product, which ``join_rows`` does not count.
     """
-    left_key, left_ok, right_key, right_ok = _join_keys(left, right, node, context)
-    candidates = np.flatnonzero(right_ok)
-    order = candidates[np.argsort(right_key[candidates], kind="stable")]
-    sorted_keys = right_key[order]
-    first = np.searchsorted(sorted_keys, left_key, side="left")
-    counts = np.where(left_ok, np.searchsorted(sorted_keys, left_key, side="right") - first, 0)
-    left_index = np.repeat(np.arange(len(left)), counts)
-    within_run = np.arange(len(left_index)) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_index = order[np.repeat(first, counts) + within_run]
+    left_index, right_index, counts = join_pairs(*_join_keys(left, right, node, context))
 
-    columns: dict[str, Column] = {}
-    for key, array in left.columns.items():
-        columns[key] = array[left_index]
-    for key, array in right.columns.items():
-        columns[key] = array[right_index]
+    columns = {**left.take(left_index).columns, **right.take(right_index).columns}
     matched = Batch(columns, len(left_index))
-    context.bump("join_rows", len(left_index))
-    obs.count("sql.executor.join_rows", len(left_index))
+    if node.equi or node.kind != "cross":
+        context.bump("join_rows", len(left_index))
+        obs.count("sql.executor.join_rows", len(left_index))
 
     if node.kind != "left" or counts.all():
         return matched
 
     pad_index = np.flatnonzero(counts == 0)
-    pad_columns: dict[str, Column] = {}
-    for key, array in left.columns.items():
-        pad_columns[key] = array[pad_index]
+    pad_columns = left.take(pad_index).columns
     for key, array in right.columns.items():
         if isinstance(array, Coded):
             pad_columns[key] = Coded(np.full(len(pad_index), -1), array.values)
@@ -824,36 +754,9 @@ def _equi_join(
 # --------------------------------------------------------------------------
 
 
-def _group_ids(columns: list[Column], length: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(group_ids, first_positions)`` of the rows grouped by all columns.
-
-    Groups are numbered by the first-appearance rank of their first key,
-    then of their second, and so on; NULL is a group of its own.
-    ``first_positions[g]`` is the earliest row of group ``g``.
-    """
-    group_ids = np.zeros(length, dtype=np.int64)
-    first_positions = np.zeros(min(length, 1), dtype=np.int64)
-    rows = np.arange(length)
-    for column in columns:
-        (keys,), _ = _match_keys([column])  # NULL has one key: None's code, or NaN
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        first = np.full(len(distinct), length)
-        np.minimum.at(first, inverse, rows)
-        order = np.argsort(first)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[order] = np.arange(len(first))
-        if len(first_positions) <= 1:  # nothing to refine yet: the ranks are the groups
-            group_ids, first_positions = rank[inverse], first[order]
-            continue
-        _codes, first_positions, group_ids = np.unique(
-            group_ids * len(first) + rank[inverse], return_index=True, return_inverse=True
-        )
-    return group_ids, first_positions
-
-
 def _distinct(batch: Batch) -> Batch:
     """First occurrence of every distinct row, in row order."""
-    _ids, first_positions = _group_ids(list(batch.columns.values()), len(batch))
+    _ids, first_positions = group_ids(list(batch.columns.values()), len(batch))
     return batch.take(np.sort(first_positions))
 
 
@@ -862,73 +765,53 @@ def _execute_aggregate(node: AggregateNode, context: ExecutionContext) -> Batch:
     length = len(child)
 
     group_columns = [_operand(expr, child, context) for expr, _name in node.group]
-    if node.group:
-        group_ids, first_positions = _group_ids(group_columns, length)
-        group_count = len(first_positions)
-    else:
-        group_ids = np.zeros(length, dtype=np.int64)
-        group_count = 1  # global aggregate always yields one row
+    ids, first_positions = group_ids(group_columns, length)
+    group_count = len(first_positions) if node.group else 1  # global aggregate always yields one row
 
     columns: dict[str, Column] = {}
     for column, (_expr, name) in zip(group_columns, node.group):
         columns[name] = column[first_positions]
     for call, name in node.aggregates:
-        columns[name] = _compute_aggregate(call, child, group_ids, group_count, context)
+        columns[name] = _compute_aggregate(call, child, ids, group_count, context)
     return Batch(columns, group_count)
-
-
-_EXTREME = {"MIN": np.minimum, "MAX": np.maximum}
-
-
-def _grouped_extreme(
-    name: str, values: np.ndarray, valid: np.ndarray, group_ids: np.ndarray, group_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group MIN/MAX of an integer array, reduced in ``int64``; the
-    second array flags the groups that had a non-NULL row at all."""
-    limits = np.iinfo(np.int64)
-    out = np.full(group_count, limits.max if name == "MIN" else limits.min, dtype=np.int64)
-    _EXTREME[name].at(out, group_ids[valid], values[valid])
-    return out, np.bincount(group_ids[valid], minlength=group_count) > 0
 
 
 def _compute_aggregate(
     call: ast.FunctionCall,
     child: Batch,
-    group_ids: np.ndarray,
+    ids: np.ndarray,
     group_count: int,
     context: ExecutionContext,
 ) -> np.ndarray:
     name = call.name.upper()
     if name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star)):
-        return np.bincount(group_ids, minlength=group_count).astype(np.int64)
+        return grouped_count(ids, group_count)
 
     column = _operand(call.args[0], child, context)
-    valid = ~_nulls(column)
+    valid = ~nulls(column)
 
     if name == "COUNT":
         if call.distinct:
-            (keys,), _ = _match_keys([column])
+            (keys,), _ = match_keys([column])
             distinct, dense = np.unique(keys[valid], return_inverse=True)
             width = max(len(distinct), 1)
-            pairs = np.unique(group_ids[valid] * width + dense)  # one per (group, value)
-            return np.bincount(pairs // width, minlength=group_count).astype(np.int64)
-        return np.bincount(group_ids[valid], minlength=group_count).astype(np.int64)
+            pairs = np.unique(ids[valid] * width + dense)  # one per (group, value)
+            return grouped_count(pairs // width, group_count)
+        return grouped_count(ids[valid], group_count)
 
     if name in ("SUM", "AVG", "STDDEV", "VAR", "MEDIAN"):
         values = column.decode() if isinstance(column, Coded) else column
         numeric = as_float(values)
-        clean = np.where(valid, numeric, 0.0)
-        sums = np.bincount(group_ids, weights=clean, minlength=group_count)
-        counts = np.bincount(group_ids[valid], minlength=group_count).astype(np.float64)
+        sums = grouped_sum(numeric, valid, ids, group_count)
+        counts = grouped_count(ids[valid], group_count).astype(np.float64)
         if name == "SUM":
-            result = np.asarray(sums, dtype=np.float64)
-            result[counts == 0] = np.nan
-            return result
+            sums[counts == 0] = np.nan
+            return sums
         if name == "AVG":
             with np.errstate(invalid="ignore", divide="ignore"):
                 return sums / counts
         if name in ("STDDEV", "VAR"):
-            squares = np.bincount(group_ids, weights=clean * clean, minlength=group_count)
+            squares = grouped_sum(numeric * numeric, valid, ids, group_count)
             with np.errstate(invalid="ignore", divide="ignore"):
                 variance = squares / counts - (sums / counts) ** 2
                 variance = np.maximum(variance, 0.0)
@@ -936,25 +819,16 @@ def _compute_aggregate(
         # MEDIAN: gather per group
         out = np.full(group_count, np.nan)
         for group in range(group_count):
-            members = numeric[(group_ids == group) & valid]
+            members = numeric[(ids == group) & valid]
             if len(members):
                 out[group] = float(np.median(members))
         return out
 
     if name in ("MIN", "MAX"):
-        if column.dtype == object:  # reduce the values' ranks, hand back the values
-            ranks, ordered = _rank_table(_as_coded(column))
-            out, present = _grouped_extreme(name, ranks, valid, group_ids, group_count)
-            return ordered[np.where(present, out, -1)]
-        if column.dtype.kind in "iu":
-            out, present = _grouped_extreme(name, column, valid, group_ids, group_count)
-            return out if present.all() else np.where(present, out, np.nan)
-        fill = np.inf if name == "MIN" else -np.inf
-        clean = np.where(valid, column.astype(np.float64), fill)
-        out = np.full(group_count, fill)
-        _EXTREME[name].at(out, group_ids, clean)
-        out[np.isinf(out)] = np.nan
-        return out
+        out, present = grouped_extreme(name, column, valid, ids, group_count)
+        if out.dtype == object or present.all():
+            return out
+        return np.where(present, out, np.nan)
 
     raise PlanError(f"unknown aggregate function {name}")
 
@@ -972,7 +846,7 @@ def _sort_order(batch: Batch, keys: list[tuple[str, bool]]) -> np.ndarray:
         if array.dtype == object:
             # order the distinct values once, then sort the rows by rank; a
             # descending key is the ascending order reversed ahead of the NULLs
-            ranks, ordered = _rank_table(_as_coded(array))
+            ranks, ordered = rank_table(as_coded(array))
             local = np.argsort(ranks, kind="stable")
             if not ascending:
                 filled = int(np.count_nonzero(ranks < len(ordered) - 1))

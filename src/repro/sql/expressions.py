@@ -143,7 +143,7 @@ class Batch:
         """Materialise as Python rows (column order = insertion order)."""
         if not self.columns:
             return [[] for _ in range(self.length)]
-        return list(map(list, zip(*map(_python_values, self.columns.values()))))
+        return list(map(list, zip(*map(python_values, self.columns.values()))))
 
     @staticmethod
     def concat(parts: "Iterable[Batch]") -> "Batch":
@@ -186,7 +186,7 @@ def _to_python(value: Any) -> Any:
 _unbox = np.frompyfunc(_to_python, 1, 1)
 
 
-def _python_values(column: Column) -> list[Any]:
+def python_values(column: Column) -> list[Any]:
     """One column as Python values for output rows (NULL is ``None``)."""
     if column.dtype == object:
         with np.errstate(invalid="ignore"):  # NaN self-comparison is the point

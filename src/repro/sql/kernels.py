@@ -1,0 +1,205 @@
+"""The operator kernels: matching, grouping, joining and grouped reduction
+over arrays — one layer under both execution stacks.
+
+:mod:`repro.sql.executor` calls these from its plan-node glue; the SOE
+query services and coordinator (:mod:`repro.soe.services.query_service`,
+:mod:`repro.soe.tasks`) run every task over their array partitions through
+the same functions. Signatures know NumPy arrays and
+:class:`~repro.sql.expressions.Coded` columns only. Work is done on integer
+stand-ins, so the only Python-level work is per distinct value, and orders
+are defined: groups by first appearance, join pairs in left-row order.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+import numpy as np
+
+from repro.sql.expressions import Coded, Column, is_null_mask
+from repro.sql.functions import narrow_to_array
+
+
+def nulls(column: Column) -> np.ndarray:
+    return column.codes < 0 if isinstance(column, Coded) else is_null_mask(column)
+
+
+def as_coded(column: Column) -> Coded:
+    if isinstance(column, Coded):
+        return column
+    if column.dtype != object:
+        missing = is_null_mask(column)
+        column = column.astype(object)
+        column[missing] = None
+    return Coded.from_values(column)
+
+
+def numbers(column: Column) -> np.ndarray:
+    """A coded or object column of numbers as a numeric array, converted per
+    table entry: ``int64`` when every value is an integer, so sums stay
+    exact. NULL rows read 0 — the caller masks them."""
+    coded = as_coded(column)
+    table = narrow_to_array([0 if value is None else value for value in coded.values.tolist()])
+    return table[coded.codes]
+
+
+def match_keys(columns: list[Column]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Numeric stand-ins for columns that are compared with each other.
+
+    Returns ``(keys, nulls)``: across all given columns two rows hold equal
+    values exactly when their keys are equal (NULL rows are flagged in
+    ``nulls`` and carry an arbitrary key). Numbers stand for themselves;
+    object and coded columns get one integer per distinct value — the only
+    Python-level work, and it is per table entry, not per row.
+    """
+    if not any(column.dtype == object for column in columns):
+        kind = np.float64 if any(c.dtype.kind == "f" for c in columns) else np.int64
+        keys = [column.astype(kind, copy=False) for column in columns]
+        return keys, [is_null_mask(key) for key in keys]
+    seen: dict[Any, int] = {}
+    keys, missing = [], []
+    for coded in map(as_coded, columns):
+        table = np.fromiter(
+            (seen.setdefault(value, len(seen)) for value in coded.values.tolist()),
+            dtype=np.int64,
+            count=len(coded.values),
+        )
+        keys.append(table[coded.codes])
+        missing.append(coded.codes < 0)
+    return keys, missing
+
+
+def rank_table(coded: Coded) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, ordered)``: each row's position in the ascending order of
+    the column's distinct values (NULL ranks last), and those values with a
+    trailing ``None`` so that ``ordered[ranks]`` is the column again."""
+    table = coded.values.tolist()
+    ordered = sorted(set(table) - {None})
+    rank_of = {value: rank for rank, value in enumerate(ordered)}
+    rank_of[None] = len(ordered)
+    ranks = np.fromiter((rank_of[value] for value in table), dtype=np.int64, count=len(table))
+    ordered.append(None)
+    return ranks[coded.codes], np.fromiter(ordered, dtype=object, count=len(ordered))
+
+
+def group_ids(columns: list[Column], length: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(group_ids, first_positions)`` of the rows grouped by all columns.
+
+    Groups are numbered by the first-appearance rank of their first key,
+    then of their second, and so on; NULL is a group of its own.
+    ``first_positions[g]`` is the earliest row of group ``g``. Without
+    columns every row is in group 0.
+    """
+    ids = np.zeros(length, dtype=np.int64)
+    first_positions = np.zeros(min(length, 1), dtype=np.int64)
+    rows = np.arange(length)
+    for column in columns:
+        (keys,), _ = match_keys([column])  # NULL has one key: None's code, or NaN
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        first = np.full(len(distinct), length)
+        np.minimum.at(first, inverse, rows)
+        order = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[order] = np.arange(len(first))
+        if len(first_positions) <= 1:  # nothing to refine yet: the ranks are the groups
+            ids, first_positions = rank[inverse], first[order]
+            continue
+        _codes, first_positions, ids = np.unique(
+            ids * len(first) + rank[inverse], return_index=True, return_inverse=True
+        )
+    return ids, first_positions
+
+
+def join_pairs(
+    left_key: np.ndarray, left_ok: np.ndarray, right_key: np.ndarray, right_ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort-based equi join on numeric keys: ``(left_index, right_index,
+    counts)``.
+
+    The pairs come in a hash join's order — left rows in order, each with
+    its matches in ascending right position; ``counts[i]`` is the number
+    of matches of left row ``i``. Rows whose ``ok`` flag is off (NULL keys)
+    never join.
+    """
+    candidates = np.flatnonzero(right_ok)
+    order = candidates[np.argsort(right_key[candidates], kind="stable")]
+    sorted_keys = right_key[order]
+    first = np.searchsorted(sorted_keys, left_key, side="left")
+    counts = np.where(left_ok, np.searchsorted(sorted_keys, left_key, side="right") - first, 0)
+    left_index = np.repeat(np.arange(len(left_key)), counts)
+    within_run = np.arange(len(left_index)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return left_index, order[np.repeat(first, counts) + within_run], counts
+
+
+def grouped_count(group_ids: np.ndarray, group_count: int) -> np.ndarray:
+    """Rows per group."""
+    return np.bincount(group_ids, minlength=group_count).astype(np.int64)
+
+
+def grouped_sum(
+    values: np.ndarray, valid: np.ndarray, group_ids: np.ndarray, group_count: int
+) -> np.ndarray:
+    """Per-group sum of the valid rows, added up in row order: exact in
+    ``int64`` for integer arrays, in ``float64`` otherwise."""
+    if values.dtype.kind in "biu":
+        out = np.zeros(group_count, dtype=np.int64)
+        np.add.at(out, group_ids[valid], values[valid])
+        return out
+    sums = np.bincount(group_ids, weights=np.where(valid, values, 0.0), minlength=group_count)
+    return sums.astype(np.float64, copy=False)  # a bincount of no rows comes back int64
+
+
+_EXTREME = {"MIN": np.minimum, "MAX": np.maximum}
+
+
+def grouped_extreme(
+    name: str, column: Column, valid: np.ndarray, group_ids: np.ndarray, group_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group ``MIN``/``MAX`` of the valid rows, and which groups had one.
+
+    Integers are reduced in ``int64`` (exact beyond 2**53), other numbers in
+    ``float64``; an object or coded column reduces the ranks of its values
+    and hands back the values (``None`` where a group had no valid row).
+    """
+    present = np.bincount(group_ids[valid], minlength=group_count) > 0
+    ordered = None
+    if column.dtype == object:
+        column, ordered = rank_table(as_coded(column))
+    elif column.dtype.kind not in "iu":
+        column = column.astype(np.float64)
+    if column.dtype.kind == "f":
+        low, high = -np.inf, np.inf
+    else:
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    out = np.full(group_count, high if name == "MIN" else low, dtype=column.dtype)
+    _EXTREME[name].at(out, group_ids[valid], column[valid])
+    return (out if ordered is None else ordered[np.where(present, out, -1)]), present
+
+
+def reduce_states(
+    op: str, values: Column | None, counts: np.ndarray | None, group_ids: np.ndarray, group_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold per-row aggregate states into one ``(value, count)`` per group.
+
+    A state says ``count`` non-NULL inputs reduce to ``value`` under ``op``
+    (count / sum / avg: their sum — an average is sum over count at the end;
+    min / max: their extreme; a ``count`` state carries the count as its
+    value). Counts and sums add up, a min of
+    mins, a max of maxes — and a raw row is such a state, which ``counts``
+    None says: one input, none where ``values`` is NULL (``values`` None is
+    ``count(*)``). So a partial aggregate over rows and the merge of partial
+    states are this one reduction.
+    """
+    if counts is None:
+        valid = np.ones(len(group_ids), dtype=bool) if values is None else ~nulls(values)
+        totals = grouped_count(group_ids[valid], group_count)
+    else:
+        valid = counts > 0
+        totals = grouped_sum(counts, valid, group_ids, group_count)
+    if op == "count":
+        return totals, totals
+    if op in ("min", "max"):
+        return grouped_extreme(op.upper(), values, valid, group_ids, group_count)[0], totals
+    if values.dtype == object:
+        values = numbers(values)
+    return grouped_sum(values, valid, group_ids, group_count), totals

@@ -214,3 +214,68 @@ def test_assignments_spread_across_replicas():
     assert len(assignments) == 3
     counts = sorted(len(v) for v in assignments.values())
     assert counts == [2, 2, 2]
+
+
+def test_ungrouped_aggregate_over_no_rows_yields_one_row():
+    """A global aggregate always yields one row — as in ``repro.sql`` — even
+    when no row qualifies anywhere; grouped aggregates and joins yield none."""
+    soe = SoeEngine(node_count=2)
+    soe.create_table("t", ["k", "s", "v"], ["k"], partition_count=4)
+    soe.create_table("dim", ["k", "grp"], ["k"], partition_count=4)
+    aggregates = [("count", None), ("sum", "v"), ("min", "v"), ("max", "v"), ("avg", "v")]
+    nothing = [[0, None, None, None, None]]
+    # a table no partition of which was ever placed, then one loaded empty
+    assert soe.aggregate("t", aggregates=aggregates)[0] == nothing
+    soe.load("t", [])
+    assert soe.aggregate("t", aggregates=aggregates)[0] == nothing
+    assert soe.aggregate("t", group_by=["s"], aggregates=aggregates)[0] == []
+
+    soe.insert("t", [[i, "a" if i % 2 else "b", i] for i in range(20)])
+    soe.load("dim", [[i, "g"] for i in range(5)])
+    soe.catch_up_all()
+    absent = [("s", "=", "absent")]
+    assert soe.aggregate("t", aggregates=aggregates, filters=absent)[0] == nothing
+    assert soe.aggregate("t", group_by=["s"], aggregates=aggregates, filters=absent)[0] == []
+    assert soe.aggregate("t", aggregates=aggregates)[0] == [[20, 190, 0, 19, 9.5]]
+
+    for value in ("a", "b"):
+        soe.delete("t", "s", value)
+    soe.catch_up_all()
+    assert soe.aggregate("t", aggregates=aggregates)[0] == nothing
+    for strategy in ("broadcast", "repartition", "colocated"):
+        assert soe.join("t", "dim", "k", "k", "grp", aggregates, strategy=strategy)[0] == []
+
+
+def test_filter_columns_are_case_insensitive(small_soe):
+    lower, _ = small_soe.aggregate("readings", filters=[("region", "=", "r0")])
+    upper, _ = small_soe.aggregate("readings", filters=[("REGION", "=", "r0")])
+    assert upper == lower == [[200]]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda soe: soe.aggregate("readings", filters=[("value", "~", 1.0)]),
+        lambda soe: soe.aggregate("readings", filters=[("nope", "=", 1.0)]),
+        lambda soe: soe.aggregate("readings", group_by=["nope"]),
+        lambda soe: soe.aggregate("readings", aggregates=[("sum", "nope")]),
+        lambda soe: soe.join("readings", "regions", "nope", "region", "zone", [("count", None)]),
+        lambda soe: soe.join("readings", "regions", "region", "nope", "zone", [("count", None)]),
+        lambda soe: soe.join("readings", "regions", "region", "region", "nope", [("count", None)]),
+        lambda soe: soe.join("readings", "regions", "region", "region", "zone", [("sum", "nope")]),
+    ],
+    ids=["filter-op", "filter-column", "group-by", "aggregate", "fact-key", "dim-key",
+         "group-column", "join-aggregate"],
+)
+def test_bad_queries_are_refused_at_plan_time(small_soe, run):
+    """An unknown filter operator or column is a non-retryable planning
+    error: no task is dispatched and no transfer charged."""
+    small_soe.create_table("regions", ["region", "zone"], ["region"])
+    small_soe.load("regions", [["r0", "north"], ["r1", "south"]])
+    services = small_soe.coordinator.query_services.values()
+    before = [service.tasks_executed for service in services]
+    messages = small_soe.cluster.stats.messages
+    with pytest.raises(CoordinationError):
+        run(small_soe)
+    assert [service.tasks_executed for service in services] == before
+    assert small_soe.cluster.stats.messages == messages

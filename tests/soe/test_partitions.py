@@ -15,8 +15,8 @@ def test_append_and_columns():
     partition = PrepackagedPartition("t", 0, ["a", "b"])
     partition.append_rows([[1, "x"], [2, "y"]])
     assert len(partition) == 2
-    assert list(partition.column("a")) == [1, 2]
-    assert partition.column_list("b") == ["x", "y"]
+    assert partition.column("a").tolist() == [1, 2]
+    assert partition.column("b").decode().tolist() == ["x", "y"]
     assert list(partition.rows()) == [(1, "x"), (2, "y")]
 
 
@@ -31,7 +31,7 @@ def test_row_width_validated():
 def test_delete_where_compacts():
     partition = PrepackagedPartition("t", 0, ["a"])
     partition.append_rows([[1], [2], [3]])
-    removed = partition.delete_where(lambda row: row[0] == 2)
+    removed = partition.delete_where("a", 2)
     assert removed == 1
     assert list(partition.column("a")) == [1, 3]
 
