@@ -10,6 +10,13 @@ A column of a table partition consists of
 
 Scans read main and delta side by side; positions ``[0, n_main)`` address
 main rows, ``[n_main, n_main + n_delta)`` address delta rows.
+
+Both fragments answer ``positions_of`` — *which rows hold this value* —
+from a position index they build themselves on first use: the primary-key
+access path of :class:`~repro.columnstore.table.TablePartition`. Neither
+index has an invalidation hook because neither needs one: a main fragment
+never changes, a delta only grows, and the merge (like tiering) replaces
+both objects wholesale. Derived state is not pickled.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ from repro.columnstore.dictionary import AppendDictionary, SortedDictionary
 from repro.core.types import DataType, TypeCode
 
 Dictionary = SortedDictionary | AppendDictionary
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
 
 _NUMERIC_INT = (TypeCode.INTEGER, TypeCode.BIGINT)
 _NUMERIC_FLOAT = (TypeCode.DOUBLE, TypeCode.DECIMAL)
@@ -48,6 +57,13 @@ class MainColumn:
             encoded if encoded is not None else BitPackedVector(np.empty(0, dtype=np.int64))
         )
         self._lookup: np.ndarray | None = None
+        #: (row positions ordered by value id, their value ids) — see positions_of
+        self._positions: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Derived state is rebuilt on first use, not stored: physical
+        savepoints and tiering payloads hold the fragment, not its indexes."""
+        return {**self.__dict__, "_lookup": None, "_positions": None}
 
     @classmethod
     def build(
@@ -109,6 +125,26 @@ class MainColumn:
         """Decode the whole fragment to an analysis array."""
         return self.lookup()[self.vids()]
 
+    def positions_of(self, vid: int) -> np.ndarray:
+        """Ascending positions of *every* row holding value id ``vid``.
+
+        A stable argsort of the value ids plus a binary search, built once
+        per fragment exactly like :meth:`lookup` (immutable fragment, so
+        nothing invalidates it). Several rows can hold one key: an UPDATE
+        is delete + insert and a non-compacting merge carries the dead
+        versions into main, so value id → position is *not* a permutation;
+        the caller picks the visible version.
+        """
+        if vid == NULL_VID or not len(self.encoded):
+            return _NO_POSITIONS
+        if self._positions is None:
+            vids = self.vids()
+            order = np.argsort(vids, kind="stable")
+            self._positions = (order, vids[order])
+        order, ordered_vids = self._positions
+        low, high = ordered_vids.searchsorted((vid, vid + 1))
+        return order[low:high]
+
     def values_at(self, positions: np.ndarray) -> list[Any]:
         """Exact Python values at the given positions."""
         return self.dictionary.decode_many(self.encoded.take(np.asarray(positions, dtype=np.int64)))
@@ -127,6 +163,14 @@ class DeltaColumn:
     def __init__(self, dtype: DataType) -> None:
         self.dtype = dtype
         self.values: list[Any] = []
+        #: value -> position (an int), or a list of them from a value's
+        #: second occurrence on; covers ``values[:_indexed]`` — see positions_of
+        self._positions: dict[Any, int | list[int]] = {}
+        self._indexed = 0
+
+    def __getstate__(self) -> dict[str, Any]:
+        """The position index is derived state: rebuilt on first use."""
+        return {**self.__dict__, "_positions": {}, "_indexed": 0}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -160,6 +204,32 @@ class DeltaColumn:
     def values_at(self, positions: np.ndarray) -> list[Any]:
         """Exact Python values at the given delta-local positions."""
         return [self.values[int(position)] for position in positions]
+
+    def positions_of(self, value: Any) -> list[int]:
+        """Ascending delta-local positions of every row holding ``value``.
+
+        The index is caught up to ``len(values)`` here, on lookup, so the
+        write path (``append``/``extend``) has no maintenance hook. NULLs
+        are not indexed: NULL equals nothing.
+        """
+        index, values = self._positions, self.values
+        if self._indexed < len(values):
+            for position in range(self._indexed, len(values)):
+                held = values[position]
+                if held is None:
+                    continue
+                seen = index.get(held)
+                if seen is None:
+                    index[held] = position
+                elif type(seen) is int:
+                    index[held] = [seen, position]
+                else:
+                    seen.append(position)
+            self._indexed = len(values)
+        found = index.get(value)
+        if found is None:
+            return []
+        return [found] if type(found) is int else found
 
     def memory_bytes(self) -> int:
         """Approximate footprint (uncompressed, as in a real delta)."""

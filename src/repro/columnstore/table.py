@@ -10,6 +10,16 @@ all operate on. Each horizontal partition pairs
 Writes are append-only: an UPDATE is a delete of the old version plus an
 insert of the new one; the delta merge (:mod:`repro.columnstore.merge`)
 compacts committed state into a fresh main fragment.
+
+**Access paths.** A table whose schema declares a single-column primary
+key has a second way in besides the scan: :meth:`TablePartition.key_versions`
+asks the key column's two fragments *where* a value sits
+(:meth:`MainColumn.positions_of` / :meth:`DeltaColumn.positions_of`, each a
+lazily built index the fragment owns — see :mod:`repro.columnstore.column`
+for why nothing invalidates them). MVCC keeps several versions of a key, so
+the answer is every version's position and visibility is checked on just
+those: :meth:`TablePartition.key_positions` for readers and UPDATE/DELETE,
+:meth:`ColumnTable.insert` to *enforce* the key.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.types import DataType
 from repro.errors import (
     ColumnNotFoundError,
+    DuplicateKeyError,
     SchemaError,
     StorageError,
     WriteConflictError,
@@ -110,8 +121,9 @@ class TablePartition:
     def insert_row(self, values: Sequence[Any], txn: Transaction) -> int:
         """Append one coerced row to the delta; returns its position."""
         self._touch()
-        for spec in self.schema.columns:
-            self.delta[spec.name.lower()].append(values[self.schema.position(spec.name)])
+        # ``delta`` is in schema order: built from it, and add_column appends to both
+        for column, value in zip(self.delta.values(), values):
+            column.append(value)
         position = self.created.append(txn.stamp)
         self.deleted.append(INF_CID)
         txn.record_insert(self.created, position)
@@ -129,15 +141,18 @@ class TablePartition:
             count += 1
         return count
 
-    def mark_deleted(self, position: int, txn: Transaction) -> None:
-        """Delete a row version (first-writer-wins conflict detection)."""
-        self._touch()
-        current = self.deleted[position]
-        if current != INF_CID:
+    def require_undeleted(self, position: int) -> None:
+        """First writer wins: refuse a version someone has deleted already."""
+        if self.deleted[position] != INF_CID:
             raise WriteConflictError(
                 f"row {position} of partition {self.name!r} is already "
                 f"deleted or locked by another transaction"
             )
+
+    def mark_deleted(self, position: int, txn: Transaction) -> None:
+        """Delete a row version (first-writer-wins conflict detection)."""
+        self._touch()
+        self.require_undeleted(position)
         self.deleted[position] = txn.stamp
         txn.record_delete(self.deleted, position)
 
@@ -153,6 +168,35 @@ class TablePartition:
         """Boolean visibility mask over all positions."""
         self._touch()
         return visible_mask(self.created.view(), self.deleted.view(), snapshot_cid, own_tid)
+
+    def key_versions(self, value: Any) -> np.ndarray:
+        """Ascending positions of *every* row version — visible or not —
+        whose primary key (``schema.key_column``) is ``value``."""
+        self._touch()
+        key = self.schema.key_column
+        main = self.main[key]
+        positions = main.positions_of(main.dictionary.vid_of(value))
+        in_delta = self.delta[key].positions_of(value)
+        if in_delta:
+            shifted = np.asarray(in_delta, dtype=np.int64) + len(main)
+            positions = np.concatenate([positions, shifted])
+        return positions
+
+    def key_positions(
+        self, values: Sequence[Any], snapshot_cid: int, own_tid: int = 0
+    ) -> np.ndarray:
+        """Ascending positions of the visible rows whose primary key is one
+        of ``values`` — what ``visible_positions`` plus a scan of the key
+        column would leave, found through the position indexes instead."""
+        found = [self.key_versions(value) for value in values]
+        candidates = found[0] if len(found) == 1 else np.unique(np.concatenate(found))
+        visible = visible_mask(
+            self.created.view()[candidates],
+            self.deleted.view()[candidates],
+            snapshot_cid,
+            own_tid,
+        )
+        return candidates[visible]
 
     def column_array(self, name: str) -> np.ndarray:
         """Decode a column (main + delta) to an analysis array."""
@@ -287,8 +331,63 @@ class ColumnTable:
     # -- writes -------------------------------------------------------------------
 
     def insert(self, row: Sequence[Any] | Mapping[str, Any], txn: Transaction) -> tuple[int, int]:
-        """Insert one row; returns ``(partition ordinal, position)``."""
+        """Insert one row; returns ``(partition ordinal, position)``.
+
+        Raises :class:`~repro.errors.DuplicateKeyError` when a live row
+        holds the row's primary key (see :meth:`_check_key`).
+        """
         values = self.schema.coerce_row(row)
+        self._check_key(values, txn)
+        return self._append(values, txn)
+
+    def _check_key(
+        self,
+        values: Sequence[Any],
+        txn: Transaction,
+        replacing: tuple[TablePartition, int] | None = None,
+    ) -> None:
+        """Refuse a row whose single-column primary key another version holds.
+
+        Every version of the key in every partition is judged by its stamps
+        (``replacing`` names the version an UPDATE is about to delete):
+
+        * rolled back, deleted by ``txn`` itself, or dead at ``txn``'s
+          snapshot — no obstacle;
+        * live, committed or ``txn``'s own — :class:`DuplicateKeyError`;
+        * created or being deleted by another open transaction, or deleted
+          by a commit ``txn``'s snapshot does not see yet —
+          :class:`WriteConflictError`: the outcome depends on a decision
+          not visible here, and a fresh snapshot settles it.
+
+        A NULL key equals nothing and is not checked; tables without a
+        single-column key are not checked at all.
+        """
+        key = self.schema.key_column
+        if key is None:
+            return
+        value = values[self.schema.position(key)]
+        if value is None:
+            return
+        own, snapshot = txn.stamp, txn.snapshot_cid
+        for partition in self.partitions:
+            for position in partition.key_versions(value).tolist():
+                if replacing is not None and replacing == (partition, position):
+                    continue
+                created, deleted = partition.created[position], partition.deleted[position]
+                if created == INF_CID or deleted == own:
+                    continue
+                if deleted == INF_CID and (created > 0 or created == own):
+                    raise DuplicateKeyError(
+                        f"table {self.name!r}: a row with {key} = {value!r} already exists"
+                    )
+                if created < 0 or deleted < 0 or created <= snapshot < deleted:
+                    raise WriteConflictError(
+                        f"table {self.name!r}: {key} = {value!r} is being written "
+                        f"by a concurrent transaction"
+                    )
+
+    def _append(self, values: list[Any], txn: Transaction) -> tuple[int, int]:
+        """Route, store and log one coerced, key-checked row."""
         ordinal = self.partitioning.route(values, self.schema)
         partition = self.partitions[ordinal]
         position = partition.insert_row(values, txn)
@@ -301,22 +400,47 @@ class ColumnTable:
         return ordinal, position
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]], txn: Transaction) -> int:
-        """Insert many rows; returns the count."""
-        count = 0
-        for row in rows:
-            self.insert(row, txn)
-            count += 1
-        return count
+        """Insert many rows; returns the count.
 
-    def delete_at(self, ordinal: int, position: int, txn: Transaction) -> None:
-        """Delete the row version at (partition, position)."""
+        Every key is checked before the first row is stored — against the
+        versions the table holds (:meth:`_check_key`) and against the rest
+        of the batch as one set — so a refused batch writes nothing, and a
+        bulk load does not build the delta's position index row by row only
+        for the next merge to discard it.
+        """
+        batch = [self.schema.coerce_row(row) for row in rows]
+        key = self.schema.key_column
+        if key is not None:
+            at = self.schema.position(key)
+            seen: set[Any] = set()
+            for values in batch:
+                self._check_key(values, txn)
+                if values[at] in seen:
+                    raise DuplicateKeyError(
+                        f"table {self.name!r}: the batch holds {key} = {values[at]!r} more than once"
+                    )
+                if values[at] is not None:
+                    seen.add(values[at])
+        for values in batch:
+            self._append(values, txn)
+        return len(batch)
+
+    def delete_at(
+        self, ordinal: int, position: int, txn: Transaction, row: list[Any] | None = None
+    ) -> None:
+        """Delete the row version at (partition, position).
+
+        ``row`` is that version's values when the caller has already read
+        them (the redo record and the change listeners need them).
+        """
         partition = self.partitions[ordinal]
-        row = partition.rows_at(np.asarray([position]))
+        if row is None:
+            row = partition.rows_at(np.asarray([position]))[0]
         partition.mark_deleted(position, txn)
-        txn.log_redo({"op": "delete", "table": self.name, "row": row[0]})
+        txn.log_redo({"op": "delete", "table": self.name, "row": row})
         txn.on_commit(
             lambda _cid, p=partition, pos=position, vals=row: self._notify(
-                EVENT_DELETE, p, [pos], vals
+                EVENT_DELETE, p, [pos], [vals]
             )
         )
 
@@ -326,15 +450,26 @@ class ColumnTable:
         position: int,
         changes: Mapping[str, Any],
         txn: Transaction,
+        old_row: list[Any] | None = None,
     ) -> tuple[int, int]:
-        """Update = delete old version + insert the changed row."""
+        """Update = delete old version + insert the changed row.
+
+        ``old_row`` as ``row`` in :meth:`delete_at`. Whether the old version
+        is still there to replace, then the new row's key, are checked
+        before anything is written, so a refused update leaves the
+        transaction as it found it.
+        """
         partition = self.partitions[ordinal]
-        old_row = partition.rows_at(np.asarray([position]))[0]
+        partition.require_undeleted(position)
+        if old_row is None:
+            old_row = partition.rows_at(np.asarray([position]))[0]
         new_row = list(old_row)
         for column_name, value in changes.items():
             new_row[self.schema.position(column_name)] = value
-        self.delete_at(ordinal, position, txn)
-        return self.insert(new_row, txn)
+        new_row = self.schema.coerce_row(new_row)
+        self._check_key(new_row, txn, replacing=(partition, position))
+        self.delete_at(ordinal, position, txn, old_row)
+        return self._append(new_row, txn)
 
     # -- reads --------------------------------------------------------------------
 
@@ -380,6 +515,27 @@ class ColumnTable:
                 if predicate(row):
                     matches.append((ordinal, int(position), row))
         return matches
+
+    def locate(
+        self, row: list[Any], snapshot_cid: int, own_tid: int = 0
+    ) -> tuple[int, int] | None:
+        """(ordinal, position) of a visible version equal to ``row``, if any.
+
+        Redo replay identifies the version a logged delete removed by its
+        full row. A keyed table looks only at the versions of that key; a
+        keyless one has nothing better than :meth:`find_rows`.
+        """
+        key = self.schema.key_column
+        value = None if key is None else row[self.schema.position(key)]
+        if value is None:
+            matches = self.find_rows(lambda candidate: candidate == row, snapshot_cid, own_tid)
+            return matches[0][:2] if matches else None
+        for ordinal, partition in enumerate(self.partitions):
+            positions = partition.key_positions((value,), snapshot_cid, own_tid)
+            for position, candidate in zip(positions.tolist(), partition.rows_at(positions)):
+                if candidate == row:
+                    return ordinal, position
+        return None
 
     # -- stats ---------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.sql import ast
 from repro.sql import plancache
 from repro.sql.context import ExecutionContext
 from repro.sql.executor import execute as execute_plan
-from repro.sql.executor import filter_positions
+from repro.sql.executor import access_path, filter_positions
 from repro.sql.expressions import Batch, evaluate
 from repro.sql.feedback import CardinalityFeedback, ReplanSignal
 from repro.sql.functions import FunctionRegistry
@@ -451,10 +451,12 @@ class Database:
         context: ExecutionContext,
     ) -> list[tuple[int, int]]:
         """(partition ordinal, position) of visible rows matching WHERE."""
-        conjuncts = ast.split_conjuncts(where)
+        start_positions, conjuncts = access_path(
+            table, ast.split_conjuncts(where), None, context
+        )
         matches: list[tuple[int, int]] = []
         for ordinal, partition in enumerate(table.partitions):
-            positions = partition.visible_positions(context.snapshot_cid, context.own_tid)
+            positions = start_positions(partition)
             positions = filter_positions(partition, positions, conjuncts, None, context)
             matches.extend((ordinal, position) for position in positions.tolist())
         return matches
@@ -485,7 +487,7 @@ class Database:
                 column: self._unbox(evaluate(expr, row_batch, context)[0])
                 for column, expr in statement.assignments
             }
-            table.update_at(ordinal, position, changes, txn)
+            table.update_at(ordinal, position, changes, txn, row_values)
             count += 1
         return count
 
@@ -745,11 +747,9 @@ class Database:
         elif operation == "delete":
             target = table.schema.coerce_row(record["row"])
             if isinstance(table, ColumnTable):
-                matches = table.find_rows(
-                    lambda row: row == target, txn.snapshot_cid, txn.tid
-                )
-                if matches:
-                    ordinal, position, _row = matches[0]
+                match = table.locate(target, txn.snapshot_cid, txn.tid)
+                if match is not None:
+                    ordinal, position = match
                     table.partitions[ordinal].mark_deleted(position, txn)
             else:
                 positions = table.visible_positions(txn.snapshot_cid, txn.tid)

@@ -82,6 +82,16 @@ class TableSchema:
         """The :class:`ColumnSpec` for ``name`` (case-insensitive)."""
         return self.columns[self.position(name)]
 
+    @property
+    def key_column(self) -> str | None:
+        """Lower-cased name of the single-column primary key, else ``None``.
+
+        The column store indexes and enforces exactly this case; composite
+        keys stay declared only.
+        """
+        key = self.primary_key
+        return key[0].lower() if len(key) == 1 else None
+
     # -- mutation (flexible tables) ----------------------------------------
 
     def add_column(self, spec: ColumnSpec) -> None:

@@ -54,6 +54,13 @@ class TypeMismatchError(SchemaError):
     """A value cannot be coerced to the declared column type."""
 
 
+class DuplicateKeyError(SchemaError):
+    """A live row already holds the primary key being inserted. Not
+    retryable: the same statement fails the same way until the data
+    changes (a key held by another *open* transaction is a
+    :class:`WriteConflictError` instead)."""
+
+
 class SqlError(ReproError):
     """Base class for SQL front-end errors."""
 

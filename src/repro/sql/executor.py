@@ -24,7 +24,11 @@ with ``UPDATE``/``DELETE`` — turns each ``column <op> literal(s)`` conjunct
 into a dictionary lookup plus an integer test on the main fragment's value
 ids, so the predicate runs before anything is decoded; the delta fragment
 and every other conjunct go through ``evaluate`` over the predicate's
-columns only. :func:`_read_column` then decodes the surviving positions:
+columns only. Which positions that starts from is :func:`access_path`'s
+choice, made once for scans and DML alike: all visible rows, or — for
+``key = literal`` / ``key IN (literals)`` on a declared single-column
+primary key — the few the key column's position indexes name.
+:func:`_read_column` then decodes the surviving positions:
 numbers and booleans to the arrays ``column_array`` would give, strings
 and dates to a :class:`~repro.sql.expressions.Coded` column (codes plus
 value table). Coded columns stay coded through filters, gathers, joins
@@ -59,7 +63,7 @@ from them instead of re-reading (and re-charging) the data. See
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -284,6 +288,7 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
     conjuncts = ast.split_conjuncts(node.predicate)
     ordinals = _prune_partitions(table, conjuncts, context)
     index_positions = _contains_probe(node, table, conjuncts, database)
+    start_positions, conjuncts = access_path(table, conjuncts, node.alias, context)
 
     governor = context.governor
     parts: list[Batch] = []
@@ -292,7 +297,7 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
             context.feedback_exempt = True  # remaining partitions dropped
             break
         partition = table.partitions[ordinal]
-        positions = partition.visible_positions(context.snapshot_cid, context.own_tid)
+        positions = start_positions(partition)
         if index_positions is not None:
             allowed = index_positions.get(partition.name, set())
             if not allowed:
@@ -327,6 +332,42 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
         }
         return Batch(empty, 0)
     return Batch.concat(parts)
+
+
+def access_path(
+    table: ColumnTable,
+    conjuncts: list[ast.Expr],
+    alias: str | None,
+    context: ExecutionContext,
+) -> tuple[Callable[[TablePartition], np.ndarray], list[ast.Expr]]:
+    """Where a scan, UPDATE or DELETE of ``table`` starts: a function
+    giving the (ascending) visible positions of a partition to look at,
+    and the conjuncts :func:`filter_positions` still has to test there.
+
+    A conjunct ``key = literal`` / ``key IN (literals)`` on the table's
+    single-column primary key, its literals of the key's stored type
+    (:func:`_code_test`'s rule), is answered by the key column's position
+    indexes (:meth:`TablePartition.key_positions`) and is thereby spent.
+    Every other statement starts from all visible rows, as ever. The
+    choice reads the schema and the statement only; ``key_lookups`` in the
+    context metrics counts the index probes next to ``rows_scanned``.
+    """
+    snapshot, own = context.snapshot_cid, context.own_tid
+    key = table.schema.key_column
+    if key is not None:
+        for index, conjunct in enumerate(conjuncts):
+            test = _code_test(conjunct, alias, table.partitions[0])
+            if test is None or test[0] != key or test[1] not in ("=", "IN") or test[3]:
+                continue
+            literals = test[2]
+
+            def by_key(partition: TablePartition) -> np.ndarray:
+                context.bump("key_lookups", len(literals))
+                obs.count("sql.executor.key_lookups", len(literals))
+                return partition.key_positions(literals, snapshot, own)
+
+            return by_key, conjuncts[:index] + conjuncts[index + 1 :]
+    return (lambda partition: partition.visible_positions(snapshot, own)), conjuncts
 
 
 #: the comparison that holds after swapping the operands

@@ -59,3 +59,53 @@ def test_memory_accounting_positive():
     delta = DeltaColumn(types.VARCHAR)
     delta.append("x")
     assert delta.memory_bytes() > 0
+
+
+# -- position indexes ----------------------------------------------------------------
+
+
+def test_main_positions_of_names_every_row_of_a_value_id():
+    column = MainColumn.build(types.VARCHAR, ["b", "a", None, "b", "c", "b"])
+    vid_of = column.dictionary.vid_of
+    assert column.positions_of(vid_of("b")).tolist() == [0, 3, 5]  # ascending: every version
+    assert column.positions_of(vid_of("a")).tolist() == [1]
+    assert column.positions_of(vid_of("zz")).tolist() == []  # absent: NULL_VID, never the NULL row
+    assert column.positions_of(vid_of(None)).tolist() == []
+    assert MainColumn(types.INTEGER).positions_of(0).tolist() == []
+    unsorted = MainColumn.build(types.INTEGER, [5, 3, 5, 4], sorted_dictionary=False)
+    assert unsorted.positions_of(unsorted.dictionary.vid_of(5)).tolist() == [0, 2]
+
+
+def test_delta_positions_of_catches_up_with_appends():
+    column = DeltaColumn(types.INTEGER)
+    assert column.positions_of(7) == []
+    column.extend([7, None, 8])
+    assert column.positions_of(7) == [0] and column.positions_of(None) == []
+    column.append(7)
+    column.append(9)
+    column.append(7)
+    assert column.positions_of(7) == [0, 3, 5]
+    assert column.positions_of(9) == [4] and column.positions_of(10) == []
+    # a key's first version costs an int, not a list
+    assert column._positions[8] == 2 and column._positions[7] == [0, 3, 5]
+
+
+def test_derived_state_is_not_pickled():
+    """Physical savepoints and tiering payloads pickle fragments: the decode
+    table and the position indexes are rebuilt on first use, not stored."""
+    import pickle
+
+    main = MainColumn.build(types.INTEGER, list(range(2000)))
+    delta = DeltaColumn(types.INTEGER)
+    delta.extend(range(2000))
+    cold = len(pickle.dumps(main)), len(pickle.dumps(delta))
+    main.lookup()
+    assert main.positions_of(5).tolist() == [5] and delta.positions_of(5) == [5]
+    assert (len(pickle.dumps(main)), len(pickle.dumps(delta))) == cold
+    for fragment in (main, delta):  # pickling left the live objects' state alone
+        assert fragment._positions
+    thawed_main, thawed_delta = pickle.loads(pickle.dumps(main)), pickle.loads(pickle.dumps(delta))
+    assert thawed_main._lookup is None and thawed_main._positions is None
+    assert thawed_main.positions_of(5).tolist() == [5]
+    thawed_delta.append(5)
+    assert thawed_delta.positions_of(5) == [5, 2000]

@@ -130,7 +130,9 @@ def test_point_read_decodes_no_column_and_touches_only_its_own(merged_orders):
     assert profile.result.rows == [[3.5]]
     assert full_decodes == []
     assert touched == {"order_id", "amount"}
-    assert profile.metrics["rows_scanned"] == 5000  # visible rows examined, as ever
+    # the declared key's position index names the row: nothing else is examined
+    assert profile.metrics["rows_scanned"] == 1
+    assert profile.metrics["key_lookups"] == 1
 
 
 def test_update_by_key_finds_its_row_on_value_ids(merged_orders, monkeypatch):
@@ -147,6 +149,8 @@ def test_update_by_key_finds_its_row_on_value_ids(merged_orders, monkeypatch):
     assert result.rowcount == 1
     assert full_decodes == []
     assert touched_by_where[0] == {"order_id"}
+    # read once, handed down to update_at and delete_at (it was three reads)
+    assert len(touched_by_where) == 1
     assert database.query("SELECT amount FROM orders WHERE order_id = 7").rows == [[4.5]]
 
 

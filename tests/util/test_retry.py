@@ -123,9 +123,11 @@ class TestRetryabilityPoles:
 
     def test_is_retryable_is_type_driven(self):
         from repro.errors import (
+            DuplicateKeyError,
             FencedError,
             LeaseExpiredError,
             NetworkPartitionedError,
+            SchemaError,
             TransferDroppedError,
         )
         from repro.util.retry import is_retryable
@@ -135,6 +137,9 @@ class TestRetryabilityPoles:
         assert not is_retryable(FencedError("stale"))
         assert not is_retryable(LeaseExpiredError("expired"))
         assert isinstance(LeaseExpiredError("expired"), FencedError)
+        # a key a live row holds stays taken however often the insert is repeated
+        assert not is_retryable(DuplicateKeyError("orders: key 7"))
+        assert isinstance(DuplicateKeyError("orders: key 7"), SchemaError)
 
     def test_partition_drop_is_retried_with_backoff_then_raised(self):
         from repro.errors import NetworkPartitionedError
