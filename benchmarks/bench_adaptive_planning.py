@@ -15,8 +15,8 @@ Claims under test (docs/OPTIMIZER.md):
 * **Repeated-shape traffic is cache-hot.** Mixed traffic over a handful
   of query shapes with varying literals reaches a >= 90% plan-cache hit
   rate once each shape has absorbed its cold miss.
-* **A hit is much cheaper than planning.** fingerprint + lookup +
-  instantiate (binding a private deep copy of the cached plan) beats a
+* **A hit is much cheaper than planning.** The text's shape key + lookup
+  + binding its values into a private copy of the cached plan beats a
   full ``plan_select`` by >= 5x.
 
 Deterministic workload; counted work for the skew arm, wall-clock timings
@@ -41,6 +41,7 @@ from repro import obs  # noqa: E402
 from repro.core.database import Database  # noqa: E402
 from repro.sql import plancache  # noqa: E402
 from repro.sql.feedback import CardinalityFeedback  # noqa: E402
+from repro.sql.lexer import shape  # noqa: E402
 from repro.sql.parser import parse  # noqa: E402
 from repro.sql.planner import plan_select  # noqa: E402
 
@@ -156,7 +157,7 @@ def run_hit_rate_arm(statements: int = 200) -> dict[str, float]:
 
 
 def run_lookup_arm(iterations: int = 300) -> dict[str, float]:
-    """Cache-hit lookup (fingerprint + get + instantiate) vs full planning.
+    """Cache-hit lookup (shape + get + bind) vs full planning.
 
     The hit loop alternates two literal values so every other iteration
     pays the substitution-copy path (changed constants rebuild the spine
@@ -166,7 +167,7 @@ def run_lookup_arm(iterations: int = 300) -> dict[str, float]:
     db.execute(SKEWED_SQL)  # warm feedback + cache
     db.execute(SKEWED_SQL)
     statement = parse(SKEWED_SQL)
-    variants = [statement, parse(SKEWED_SQL.replace("'rare'", "'common'"))]
+    variants = [SKEWED_SQL, SKEWED_SQL.replace("'rare'", "'common'")]
 
     def plan_once() -> None:
         plan_select(statement, db.catalog, feedback=db.feedback)
@@ -175,12 +176,11 @@ def run_lookup_arm(iterations: int = 300) -> dict[str, float]:
 
     def hit_once() -> None:
         nonlocal hit_index
-        bound = variants[hit_index % 2]
+        key, values = shape(variants[hit_index % 2])
         hit_index += 1
-        key = plancache.fingerprint(bound)
-        entry = db.plan_cache.get(key, db.feedback)
-        assert entry is not None
-        assert plancache.instantiate(entry, bound) is not None
+        entry = db.plan_cache.get(key, db.feedback, values)
+        assert entry is not None and entry.plan is not None
+        assert plancache.bind_plan(entry, entry.template.bind(values)) is not None
 
     def best_of(step, repeats: int = 5) -> float:
         """Min-of-means over several repeats: scheduler noise only ever

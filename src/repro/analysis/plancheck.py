@@ -18,12 +18,12 @@ the upcoming compiled pipelines — silently relies on:
   Limit/Distinct node that carries its own estimate stays monotone
   (never claims more rows than its child).
 * **cache safety** — a frozen :class:`~repro.sql.plancache.PlanEntry`
-  aliases no mutable non-plan state, its literal slots match the
-  fingerprint's slot arity, every slot is actually reachable from the
-  plan (an unreachable slot means :func:`~repro.sql.plancache.instantiate`
+  aliases no mutable non-plan state, the literal tokens its template
+  binds are its literal slots one to one and in order, every slot is
+  actually reachable from the plan (an unreachable slot means a hit
   would silently keep a stale constant — wrong results, not a miss),
-  and an instantiated binding shares no container that sits on the
-  frozen spine above a changed literal.
+  and a hit's binding shares no container that sits on the frozen spine
+  above a changed literal.
 * **charge coverage** — every row-producing node type maps to a known
   governor charge point (:data:`CHARGE_POINTS`), so a new operator
   cannot slip past the QoS accounting unnoticed.
@@ -43,6 +43,7 @@ Wiring (same pattern as :mod:`repro.analysis.lockcheck` /
 
 from __future__ import annotations
 
+import datetime
 import math
 import os
 from contextlib import contextmanager
@@ -462,7 +463,8 @@ def _check_charges(node: PlanNode, findings: list[PlanFinding]) -> None:
 # --------------------------------------------------------------------------
 
 #: object kinds a frozen plan may consist of; anything else is aliasing
-_LEAF_TYPES = (str, int, float, bool, bytes, type(None))
+#: (a ``DATE``/``TIMESTAMP`` literal's value is as immutable as a number)
+_LEAF_TYPES = (str, int, float, bool, bytes, type(None), datetime.date)
 
 
 def _iter_graph(value: Any) -> Iterator[Any]:
@@ -489,11 +491,12 @@ def _reachable_ids(value: Any) -> set[int]:
     return {id(obj) for obj in _iter_graph(value)}
 
 
-def _check_aliasing(plan: Any, findings: list[PlanFinding]) -> None:
+def _check_aliasing(graph: list[Any], findings: list[PlanFinding]) -> None:
     """A frozen plan must consist solely of plan nodes, AST expressions,
     containers, and scalars — anything else (a live batch, a table, an
-    execution context) would be shared, mutable session state."""
-    for obj in _iter_graph(plan):
+    execution context) would be shared, mutable session state. ``graph``
+    is every object of the plan (:func:`_iter_graph`)."""
+    for obj in graph:
         if isinstance(obj, _LEAF_TYPES) or isinstance(obj, (list, tuple)):
             continue
         if plancache._field_names(type(obj)) is not None:
@@ -516,26 +519,48 @@ def entry_seal(entry: Any) -> tuple:
     )
 
 
-def verify_entry(
-    entry: Any,
-    statement: "ast.SelectStatement | ast.UnionStatement | None" = None,
-    key: str | None = None,
-    catalog: Any = None,
-) -> list[PlanFinding]:
-    """Cache-safety verification of a :class:`~repro.sql.plancache.PlanEntry`
-    (plus a full plan verification of the frozen plan itself)."""
-    findings = verify_plan(entry.plan, catalog)
-    _check_aliasing(entry.plan, findings)
-    if key is not None and key.count("?") != len(entry.slots):
+def _is_keyword_constant(slot: ast.Literal) -> bool:
+    """TRUE / FALSE / NULL: no literal token feeds them, the key text
+    itself fixes their value."""
+    return slot.value is None or isinstance(slot.value, bool)
+
+
+def _check_token_slots(entry: Any, findings: list[PlanFinding]) -> None:
+    """The tokens a text-keyed entry binds must be its slots one to one,
+    in order — every slot but a keyword constant — or a hit would write
+    a value into the wrong leaf, or keep a stale one."""
+    index_of = {id(slot): index for index, slot in enumerate(entry.slots)}
+    bound = [index_of.get(id(leaf)) for _token, leaf, _convert in entry.template.slots]
+    expected = [
+        index for index, slot in enumerate(entry.slots) if not _is_keyword_constant(slot)
+    ]
+    if bound != expected:
         findings.append(
             PlanFinding(
                 "cache",
                 "",
-                f"entry has {len(entry.slots)} literal slot(s) but the "
-                f"fingerprint renders {key.count('?')} — a hit would bind "
-                "constants into the wrong positions",
+                f"entry has {len(expected)} literal slot(s) a token must feed but "
+                f"its template binds {len(bound)} token(s) to slots {bound} — a hit "
+                "would bind constants into the wrong positions",
             )
         )
+
+
+def verify_entry(
+    entry: Any,
+    statement: "ast.SelectStatement | ast.UnionStatement | None" = None,
+    catalog: Any = None,
+) -> list[PlanFinding]:
+    """Cache-safety verification of a :class:`~repro.sql.plancache.PlanEntry`
+    (plus a full plan verification of the frozen plan itself, when the
+    entry holds one — a DML entry is only a parse)."""
+    findings: list[PlanFinding] = []
+    if entry.plan is not None:
+        findings = verify_plan(entry.plan, catalog)
+        graph = list(_iter_graph(entry.plan))  # one walk for aliasing and reachability
+        _check_aliasing(graph, findings)
+    if getattr(entry, "template", None) is not None:
+        _check_token_slots(entry, findings)
     if statement is not None:
         fresh = plancache.collect_literals(statement)
         if len(fresh) != len(entry.slots):
@@ -547,7 +572,9 @@ def verify_entry(
                     f"carries {len(fresh)} literal(s)",
                 )
             )
-    reachable = _reachable_ids(entry.plan)
+    if entry.plan is None:
+        return findings
+    reachable = {id(obj) for obj in graph}
     for index, slot in enumerate(entry.slots):
         if id(slot) not in reachable:
             findings.append(
@@ -567,13 +594,17 @@ def verify_binding(
     bound: Any,
     statement: "ast.SelectStatement | ast.UnionStatement",
 ) -> list[PlanFinding]:
-    """Verify one :func:`~repro.sql.plancache.instantiate` result.
+    """Verify one cache hit's binding: the bound plan — or, for a DML
+    entry, the bound statement — against the frozen entry.
 
     Proves the frozen entry was not mutated (slot-value seal), that every
     changed literal was actually replaced in the bound copy, and that the
     bound copy shares no container sitting on the frozen spine above a
     changed literal (the PR 6 frozen-plan invariant).
     """
+    frozen = entry.plan
+    if frozen is None and getattr(entry, "template", None) is not None:
+        frozen = entry.template.statement
     findings: list[PlanFinding] = []
     seal = getattr(entry, "seal", None)
     if seal is not None and entry_seal(entry) != seal:
@@ -603,7 +634,7 @@ def verify_binding(
     ]
     if not changed:
         return findings
-    if bound is entry.plan:
+    if bound is frozen:
         findings.append(
             PlanFinding(
                 "cache",
@@ -624,7 +655,7 @@ def verify_binding(
                     f"bound plan — {source.value!r} was not bound",
                 )
             )
-    dirty_spine = plancache.slot_spine(entry.plan, [cached for cached, _ in changed])
+    dirty_spine = plancache.slot_spine(frozen, [cached for cached, _ in changed])
     shared = bound_ids & set(dirty_spine)
     if shared:
         findings.append(

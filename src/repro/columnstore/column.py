@@ -160,6 +160,12 @@ class MainColumn:
 class DeltaColumn:
     """Append-only raw-value buffer for writes since the last merge."""
 
+    #: whether ``values[:_null_checked]`` holds a NULL — derived state,
+    #: caught up on read by :meth:`has_null` (class defaults, so fragments
+    #: pickled without them load as "not checked yet")
+    _has_null = False
+    _null_checked = 0
+
     def __init__(self, dtype: DataType) -> None:
         self.dtype = dtype
         self.values: list[Any] = []
@@ -169,8 +175,12 @@ class DeltaColumn:
         self._indexed = 0
 
     def __getstate__(self) -> dict[str, Any]:
-        """The position index is derived state: rebuilt on first use."""
-        return {**self.__dict__, "_positions": {}, "_indexed": 0}
+        """The position index and the NULL flag are derived state:
+        rebuilt on first use."""
+        state = {**self.__dict__, "_positions": {}, "_indexed": 0}
+        state.pop("_has_null", None)
+        state.pop("_null_checked", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.values)
@@ -183,27 +193,46 @@ class DeltaColumn:
         """Record many values."""
         self.values.extend(values)
 
-    def array(self) -> np.ndarray:
-        """Decode the buffer to an analysis array (same rules as main)."""
-        has_null = any(value is None for value in self.values)
+    def has_null(self) -> bool:
+        """Does any row hold NULL? Caught up on read, like
+        :meth:`positions_of`, so the write path has no hook."""
+        values = self.values
+        end = len(values)
+        if not self._has_null and self._null_checked < end:
+            try:
+                values.index(None, self._null_checked, end)
+                self._has_null = True
+            except ValueError:
+                pass
+            self._null_checked = end
+        return self._has_null
+
+    def array(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """Decode the buffer — or only the rows at the given delta-local
+        positions — to an analysis array (same rules as main). The dtype
+        follows the whole fragment, as ``column_array`` does: an INTEGER
+        delta holding a NULL anywhere is ``float64`` at every position."""
+        values = self.values if positions is None else self.values_at(positions)
+        has_null = self.has_null()
         code = self.dtype.code
         if code in _NUMERIC_INT and not has_null:
-            return np.asarray(self.values, dtype=np.int64)
+            return np.asarray(values, dtype=np.int64)
         if code in _NUMERIC_INT or code in _NUMERIC_FLOAT:
             return np.asarray(
-                [np.nan if value is None else float(value) for value in self.values],
+                [np.nan if value is None else float(value) for value in values],
                 dtype=np.float64,
             )
         if code is TypeCode.BOOLEAN and not has_null:
-            return np.asarray(self.values, dtype=bool)
-        out = np.empty(len(self.values), dtype=object)
-        for index, value in enumerate(self.values):
+            return np.asarray(values, dtype=bool)
+        out = np.empty(len(values), dtype=object)
+        for index, value in enumerate(values):
             out[index] = value
         return out
 
     def values_at(self, positions: np.ndarray) -> list[Any]:
         """Exact Python values at the given delta-local positions."""
-        return [self.values[int(position)] for position in positions]
+        values = self.values
+        return [values[position] for position in np.asarray(positions, dtype=np.int64).tolist()]
 
     def positions_of(self, value: Any) -> list[int]:
         """Ascending delta-local positions of every row holding ``value``.

@@ -39,11 +39,21 @@ from repro.sql.executor import access_path, filter_positions
 from repro.sql.expressions import Batch, evaluate
 from repro.sql.feedback import CardinalityFeedback, ReplanSignal
 from repro.sql.functions import FunctionRegistry
+from repro.sql.lexer import shape
 from repro.sql.parser import parse
 from repro.sql.planner import QueryPlan, plan_select
 from repro.transaction.manager import Transaction, TransactionManager
 
 PruningHook = Callable[[ColumnTable, list[ast.Expr], ExecutionContext], set[int] | None]
+
+#: the statements the plan cache holds a parse of
+_CACHED_STATEMENTS = (
+    ast.SelectStatement,
+    ast.UnionStatement,
+    ast.InsertStatement,
+    ast.UpdateStatement,
+    ast.DeleteStatement,
+)
 
 #: simulated optimizer cost charged to the query budget per re-planning pass
 REPLAN_PLANNING_SECONDS = 0.005
@@ -75,7 +85,7 @@ class Database:
         self.parameters: dict[str, Any] = {}
         #: observed cardinalities per operator signature (docs/OPTIMIZER.md)
         self.feedback = CardinalityFeedback()
-        #: compiled logical plans keyed by query-shape fingerprint
+        #: parsed statements and their plans, keyed by the text's shape
         self.plan_cache = plancache.PlanCache()
         #: master switches for the adaptive optimizer — benchmarks flip
         #: these to measure static vs. adaptive planning (E26)
@@ -166,9 +176,47 @@ class Database:
         limit returns a truncated result with ``QueryResult.degraded``
         set; crossing a hard limit raises
         :class:`~repro.errors.BudgetExceededError`.
+
+        Through the plan cache (docs/OPTIMIZER.md), a statement whose text
+        shape (:func:`repro.sql.lexer.shape`) was seen before is neither
+        lexed nor parsed: its literal values are bound into the cached
+        parse of a DML statement, or straight into the cached plan of a
+        query.
         """
-        statement = parse(sql)
-        return self.execute_statement(statement, txn, parameters, budget)
+        shaped = shape(sql) if self.plan_cache_enabled else None
+        if shaped is None:
+            return self.execute_statement(parse(sql), txn, parameters, budget)
+        key, values = shaped
+        entry = self.plan_cache.get(key, self.feedback, values)
+        if entry is None:
+            sources: list[Any] = []
+            statement = parse(sql, sources)
+            if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
+                self.plan_cache.miss()
+            entry = self._remember(key, statement, sources, values)
+            if entry is None:
+                return self.execute_statement(statement, txn, parameters, budget)
+        template = entry.template
+        assert template is not None  # every entry keyed by text has one
+        mapping = template.bind(values)
+        if not template.is_query:
+            statement = template.statement_for(mapping)
+            if plancheck.enabled():
+                self._verify_binding(entry, statement, statement)
+            return self.execute_statement(statement, txn, parameters, budget)
+        if entry.plan is None:
+            plan = self._plan_template(key, entry.slots, template, mapping)
+        else:
+            plan = plancache.bind_plan(entry, mapping)
+            if plancheck.enabled():
+                self._verify_binding(entry, plan, template.statement_for(mapping))
+        return self._execute_select(
+            plan,
+            lambda: self._plan_template(key, entry.slots, template, mapping),
+            txn,
+            parameters,
+            budget,
+        )
 
     def execute_statement(
         self,
@@ -178,7 +226,9 @@ class Database:
         budget: Any = None,
     ) -> QueryResult:
         if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
-            return self._execute_select(statement, txn, parameters, budget)
+            return self._execute_select(
+                self._plan(statement), lambda: self._plan(statement), txn, parameters, budget
+            )
         if isinstance(statement, ast.InsertStatement):
             return self._autocommit(statement, txn, self._execute_insert, parameters)
         if isinstance(statement, ast.UpdateStatement):
@@ -231,53 +281,73 @@ class Database:
             parameters=merged,
         )
 
-    def _plan_with_cache(
-        self, statement: "ast.SelectStatement | ast.UnionStatement"
-    ) -> tuple[QueryPlan, str | None]:
-        """Plan through the plan cache (docs/OPTIMIZER.md).
-
-        A hit binds a *private copy* of the cached plan to this
-        statement's constants and skips planning entirely (the entry is
-        never mutated, so concurrent sessions can hit the same shape); a
-        miss (or a stale entry whose feedback versions moved) plans with
-        the current feedback store and caches the result.
-        """
-        if not self.plan_cache_enabled:
-            plan = plan_select(statement, self.catalog, feedback=self.feedback)
-            if plancheck.enabled():
-                plancheck.check_plan(plan, self.catalog)
-            return plan, None
-        key = plancache.fingerprint(statement)
-        entry = self.plan_cache.get(key, self.feedback)
-        if entry is not None:
-            bound = plancache.instantiate(entry, statement)
-            if bound is not None:
-                if plancheck.enabled():
-                    findings = plancheck.verify_binding(entry, bound, statement)
-                    if findings:
-                        raise plancheck.PlanCheckError(findings)
-                return bound, key
+    def _plan(self, statement: "ast.SelectStatement | ast.UnionStatement") -> QueryPlan:
+        """Plan a statement the plan cache does not hold."""
         with obs.latency("sql.plan_seconds"):
             plan = plan_select(statement, self.catalog, feedback=self.feedback)
-        self._cache_plan(key, statement, plan)
-        return plan, key
+        if plancheck.enabled():
+            plancheck.check_plan(plan, self.catalog)
+        return plan
 
-    def _cache_plan(
+    def _remember(
+        self, key: str, statement: ast.Statement, sources: list[Any], values: list[Any]
+    ) -> plancache.PlanEntry | None:
+        """The entry for a statement just parsed from a new text shape.
+
+        A DML entry is cached at once; a query's is cached by
+        :meth:`_plan_template` together with its plan. ``None``: the
+        statement is not cached (DDL, or a text whose literal tokens the
+        shape pass does not line up with the parser's).
+        """
+        if not isinstance(statement, _CACHED_STATEMENTS):
+            return None
+        slots = plancache.collect_literals(statement)
+        template = plancache.record_template(statement, slots, sources, values)
+        if template is None:
+            return None
+        entry = plancache.PlanEntry(plan=None, slots=slots, tables=frozenset(), template=template)
+        if template.is_query:
+            return entry
+        entry.seal = plancheck.entry_seal(entry)
+        return entry if self._cache_entry(key, entry) else None
+
+    def _plan_template(
         self,
         key: str,
-        statement: "ast.SelectStatement | ast.UnionStatement",
-        plan: QueryPlan,
-    ) -> None:
+        slots: list[ast.Literal],
+        template: plancache.Template,
+        mapping: dict[int, ast.Literal],
+    ) -> QueryPlan:
+        """Plan a cached query parse, cache the plan, and bind ``mapping``.
+
+        The plan of the cached parse serves every statement of its shape
+        with its own values bound — what every cache hit relies on, and
+        what :func:`repro.analysis.plancheck.verify_entry` proves before
+        the plan is cached. A plan that fails it is not cached, and a
+        statement with other values is then planned as itself.
+        """
+        with obs.latency("sql.plan_seconds"):
+            plan = plan_select(template.statement, self.catalog, feedback=self.feedback)
         tables = plancache.plan_tables(plan.root)
         entry = plancache.PlanEntry(
             plan=plan,
-            slots=plancache.collect_literals(statement),
+            slots=slots,
             tables=tables,
             versions=self.feedback.versions(tables),
+            template=template,
         )
-        findings = plancheck.verify_entry(entry, statement, key, self.catalog)
+        entry.seal = plancheck.entry_seal(entry)
+        if self._cache_entry(key, entry):
+            return plancache.bind_plan(entry, mapping)
+        if not mapping:
+            return plan
+        return self._plan(template.statement_for(mapping))
+
+    def _cache_entry(self, key: str, entry: plancache.PlanEntry) -> bool:
+        """Verify a sealed entry and cache it; False when it was refused."""
+        findings = plancheck.verify_entry(entry, catalog=self.catalog)
         if findings:
-            # a plan that fails verification is never cached: the fresh
+            # an entry that fails verification is never cached: the fresh
             # plan still answers this query, the shape just replans on
             # every execution. Genuine IR corruption (anything beyond a
             # cache-suitability finding) is a planner bug and escalates
@@ -285,19 +355,27 @@ class Database:
             obs.count("sql.plancheck.rejected")
             if plancheck.enabled() and any(f.check != "cache" for f in findings):
                 raise plancheck.PlanCheckError(findings)
-            return
-        entry.seal = plancheck.entry_seal(entry)
+            return False
         self.plan_cache.put(key, entry)
+        return True
+
+    def _verify_binding(self, entry: plancache.PlanEntry, bound: Any, statement: ast.Statement) -> None:
+        """``REPRO_PLANCHECK``: a hit's binding left the cached entry intact."""
+        findings = plancheck.verify_binding(entry, bound, statement)
+        if findings:
+            raise plancheck.PlanCheckError(findings)
 
     def _execute_select(
         self,
-        statement: "ast.SelectStatement | ast.UnionStatement",
+        plan: QueryPlan,
+        replan: Callable[[], QueryPlan],
         txn: Transaction | None,
         parameters: Mapping[str, Any] | None,
         budget: Any = None,
     ) -> QueryResult:
+        """Run a planned query; ``replan`` plans it afresh when the
+        executor asks for a mid-query re-optimization."""
         with obs.latency("sql.select_seconds"):
-            plan, cache_key = self._plan_with_cache(statement)
             context = self._context(txn, parameters)
             context.feedback = self.feedback
             governor = None
@@ -324,12 +402,7 @@ class Database:
                     obs.count("sql.reopt.replans")
                     if governor is not None:
                         governor.charge_planning(REPLAN_PLANNING_SECONDS)
-                    with obs.latency("sql.plan_seconds"):
-                        plan = plan_select(
-                            statement, self.catalog, feedback=self.feedback
-                        )
-                    if cache_key is not None:
-                        self._cache_plan(cache_key, statement, plan)
+                    plan = replan()
             if reoptimizations:
                 context.bump("reoptimizations", reoptimizations)
             if governor is not None and governor.degraded:

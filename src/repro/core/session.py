@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Any, Mapping
 
 from repro.core.database import Database
@@ -10,6 +11,11 @@ from repro.errors import InvalidTransactionStateError
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.transaction.manager import Transaction
+
+#: BEGIN / COMMIT / ROLLBACK, after any whitespace and comments
+_TRANSACTION_CONTROL = re.compile(
+    r"(?:\s+|--[^\n]*|/\*.*?\*/)*(?:BEGIN|COMMIT|ROLLBACK)\b", re.IGNORECASE | re.DOTALL
+)
 
 
 class Session:
@@ -56,9 +62,14 @@ class Session:
     # -- execution -------------------------------------------------------------
 
     def execute(self, sql: str, parameters: Mapping[str, Any] | None = None) -> QueryResult:
-        """Execute one SQL statement within the session's transaction."""
-        statement = parse(sql)
-        if isinstance(statement, ast.TransactionStatement):
+        """Execute one SQL statement within the session's transaction.
+
+        Transaction control is the session's own; every other statement
+        goes through :meth:`Database.execute` and so its plan cache.
+        """
+        if _TRANSACTION_CONTROL.match(sql):
+            statement = parse(sql)
+            assert isinstance(statement, ast.TransactionStatement)
             if statement.action == "begin":
                 self.begin()
             elif statement.action == "commit":
@@ -69,7 +80,7 @@ class Session:
         merged = dict(self.parameters)
         if parameters:
             merged.update(parameters)
-        return self.database.execute_statement(statement, self._txn, merged or None)
+        return self.database.execute(sql, self._txn, merged or None)
 
     def query(self, sql: str, **parameters: Any) -> QueryResult:
         """Convenience SELECT wrapper."""

@@ -63,6 +63,7 @@ from them instead of re-reading (and re-charging) the data. See
 
 from __future__ import annotations
 
+import datetime
 from typing import Any, Callable
 
 import numpy as np
@@ -467,19 +468,21 @@ def _code_test(
         return None
     values = []
     for literal in literals:
-        if not isinstance(literal, ast.Literal):
-            return None
-        kind = type(literal.value)
-        if column.dtype.code in _INTEGER_TYPES:
-            fits = kind is int
-        elif column.dtype.code in _FLOAT_TYPES:  # float64 holds these ints exactly
-            fits = kind is float or (kind is int and abs(literal.value) <= 2**53)
-        else:
-            fits = kind is str and column.dtype.code is TypeCode.VARCHAR
-        if not fits:
+        if not isinstance(literal, ast.Literal) or not _fits(column.dtype.code, literal.value):
             return None
         values.append(literal.value)
     return operand.name, op, tuple(values), negated
+
+
+def _fits(stored: TypeCode, value: Any) -> bool:
+    """Is ``value`` a literal of the stored type — one that compares with
+    the column's values exactly as with their value ids?"""
+    kind = type(value)
+    if stored in _INTEGER_TYPES:
+        return kind is int
+    if stored in _FLOAT_TYPES:  # float64 holds these ints exactly
+        return kind is float or (kind is int and abs(value) <= 2**53)
+    return kind is str and stored is TypeCode.VARCHAR
 
 
 def _main_mask(
@@ -519,15 +522,19 @@ def _main_mask(
 def _delta_rows(
     partition: TablePartition, name: str, positions: np.ndarray, exact: bool = False
 ) -> np.ndarray:
-    """One column's delta-fragment rows at the given partition positions.
+    """One column's delta-fragment rows at the given partition positions,
+    and only those (counted on ``sql.executor.delta_values_read``).
 
-    The analysis array of :meth:`DeltaColumn.array` — or, ``exact``, the
-    stored Python values as an object array: an INTEGER delta holding a
-    NULL is ``float64`` in the former, too coarse to compare beyond 2**53.
+    :meth:`DeltaColumn.array` at those rows — or, ``exact``, the stored
+    Python values as an object array: an INTEGER delta holding a NULL is
+    ``float64`` in the former, too coarse to compare beyond 2**53.
     """
     delta = partition.delta[name]
-    values = np.asarray(delta.values, dtype=object) if exact else delta.array()
-    return values[positions - partition.n_main]
+    local = positions - partition.n_main
+    obs.count("sql.executor.delta_values_read", len(local))
+    if exact:
+        return np.asarray(delta.values_at(local), dtype=object)
+    return delta.array(local)
 
 
 def _read_column(partition: TablePartition, name: str, positions: np.ndarray) -> Column:
@@ -536,8 +543,11 @@ def _read_column(partition: TablePartition, name: str, positions: np.ndarray) ->
     Numeric and boolean columns come back as ``column_array(name)[positions]``
     would (the dtype follows the whole fragments: an INTEGER column is
     ``float64`` once any of its rows is NULL) without decoding any other
-    row; every other type as a :class:`Coded` column over the main
-    dictionary's decode table plus the delta rows read.
+    row — main or delta; every other type as a :class:`Coded` column over
+    the main dictionary's decode table plus the delta rows read. The delta
+    is read only where the positions reach into it — or, for a numeric
+    column, as an empty slice when that sets the dtype (no main fragment,
+    or a delta holding a NULL).
     """
     main = partition.main[name]
     split = int(np.searchsorted(positions, len(main)))
@@ -546,7 +556,9 @@ def _read_column(partition: TablePartition, name: str, positions: np.ndarray) ->
     if len(main):
         vids = main.encoded.take(positions[:split])
         parts.append(Coded(vids, main.lookup()) if coded else main.lookup()[vids])
-    if len(partition.delta[name]):
+    delta = partition.delta[name]
+    typed_by_delta = not coded and len(delta) and (not len(main) or delta.has_null())
+    if split < len(positions) or typed_by_delta:
         values = _delta_rows(partition, name, positions[split:])
         parts.append(Coded.from_values(values) if coded else values)
     if not parts:
@@ -610,7 +622,8 @@ def _prune_partitions(
     ordinals = list(range(len(table.partitions)))
     spec = table.partitioning
     if isinstance(spec, (RangePartitioning, CompositePartitioning)):
-        low, high = _column_bounds(conjuncts, spec.column)
+        stored = table.schema.column(spec.column).dtype.code
+        low, high = _column_bounds(conjuncts, spec.column, stored)
         if low is not None or high is not None:
             survivors = set(spec.prune(low, high))
             pruned = [o for o in ordinals if o in survivors]
@@ -629,9 +642,14 @@ def _prune_partitions(
 
 
 def _column_bounds(
-    conjuncts: list[ast.Expr], column: str
+    conjuncts: list[ast.Expr], column: str, stored: TypeCode
 ) -> tuple[Any, Any]:
-    """Derive [low, high] bounds on ``column`` from simple conjuncts."""
+    """Derive [low, high] bounds on ``column`` from simple conjuncts.
+
+    Only literals of the column's stored type (:func:`_bounds_column`)
+    bound it — the range boundaries are of that type, and ``id = '7'``
+    must find no row, not compare ``'7'`` with an integer boundary.
+    """
     low: Any = None
     high: Any = None
 
@@ -644,7 +662,14 @@ def _column_bounds(
 
     for conjunct in conjuncts:
         if isinstance(conjunct, ast.Between):
-            if _is_column(conjunct.operand, column) and isinstance(conjunct.low, ast.Literal) and isinstance(conjunct.high, ast.Literal) and not conjunct.negated:
+            bounds = (conjunct.low, conjunct.high)
+            if (
+                _is_column(conjunct.operand, column)
+                and not conjunct.negated
+                and all(
+                    isinstance(b, ast.Literal) and _bounds_column(stored, b.value) for b in bounds
+                )
+            ):
                 tighten(conjunct.low.value, conjunct.high.value)
         if not isinstance(conjunct, ast.BinaryOp):
             continue
@@ -656,6 +681,8 @@ def _column_bounds(
             op = _FLIP.get(op, op)
         else:
             continue
+        if not _bounds_column(stored, value):
+            continue
         if op == "=":
             tighten(value, value)
         elif op in ("<", "<="):
@@ -663,6 +690,22 @@ def _column_bounds(
         elif op in (">", ">="):
             tighten(new_low=value)
     return low, high
+
+
+#: stored types without value-id scans whose literals still compare with
+#: the column's values (``datetime`` is a ``date`` subclass, hence ``is``)
+_ORDERED_TYPES = {
+    TypeCode.DATE: datetime.date,
+    TypeCode.TIMESTAMP: datetime.datetime,
+    TypeCode.BOOLEAN: bool,
+}
+
+
+def _bounds_column(stored: TypeCode, value: Any) -> bool:
+    """Is ``value`` of the stored type, so it compares with the range
+    boundaries: :func:`_fits`, or a date / timestamp / boolean literal of
+    a column of that type."""
+    return _fits(stored, value) or type(value) is _ORDERED_TYPES.get(stored)
 
 
 def _is_column(expr: ast.Expr, column: str) -> bool:

@@ -1,8 +1,10 @@
-"""SQL tokenizer."""
+"""SQL tokenizer, and the shape pass that keys the plan cache."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import SqlSyntaxError
 
@@ -109,6 +111,86 @@ def tokenize(text: str) -> list[Token]:
         raise SqlSyntaxError(f"unexpected character {ch!r}", index)
     tokens.append(Token("EOF", "", length))
     return tokens
+
+
+#: one match per literal: the verbatim run before it — any characters that
+#: start no literal, digits right after a word character (inside an
+#: identifier, so no literal), quoted identifiers and comments — then the
+#: literal itself. A number is exactly what :func:`tokenize` reads as one
+#: (greedy digits, one dot, one exponent whose digits may be missing). The
+#: run stops only where one of the tail alternatives matches, so nothing
+#: backtracks.
+_SHAPE = re.compile(
+    r"""(?:[^'"?\d./-]+|(?<=\w)\d+|"[^"]*"|--[^\n]*|/\*.*?\*/|\.(?!\d)|/(?!\*)|-(?!-))*
+        (?:(?P<string>'(?:[^']|'')*')
+          |(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d*)?)
+          |(?P<stray>[?'"]|/\*)
+          |\Z)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+#: a text with more literals than this gets no shape key. Measured by
+#: ``benchmarks/bench_shape_cutoff.py`` (EXPERIMENTS.md, E26) on E1's row
+#: shape, every cost is linear in the literals: the shape pass ≈ 1.1 µs,
+#: recording the parse ≈ 1.1–2.7 µs, a hit ≈ 1.9 µs against a parse of
+#: ≈ 8 µs, and the entry holds ≈ 0.4 KB. So a text that repeats pays its
+#: recording back at any size; the cutoff caps what a text that never
+#: repeats costs, at under a millisecond and ≈ 0.1 MB: at 256 literals it
+#: pays ≈ 0.56 ms of extra work (+27 %) and holds a 103 KB entry, where
+#: E1's 16 000-literal load INSERT would pay +58 ms (+41 %) and hold 6.7 MB
+MAX_LITERALS = 256
+
+
+def shape(text: str) -> tuple[str, list[Any]] | None:
+    """The statement's shape key and its literal values, in one regex pass.
+
+    Every number and string literal is replaced by a typed placeholder —
+    ``?i`` (integer), ``?f`` (float), ``?s`` (string) — and its value is
+    collected in text order; everything else, including identifiers,
+    quoted identifiers and comments, stays verbatim. Two statements share
+    a key exactly when they tokenize alike up to literal values, so a
+    parse made for one binds to the other (``repro.sql.plancache``).
+
+    ``None`` means the text has no reliable key: a stray ``?`` (which
+    would read as a placeholder), an unterminated quote or comment, or a
+    malformed number — or is not given one: more than
+    :data:`MAX_LITERALS` literals. Such a text is parsed directly (which
+    reports what is wrong with it).
+    """
+    values: list[Any] = []
+    pieces: list[str] = []
+    start = 0
+    for match in _SHAPE.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # the end of the text
+            break
+        if kind == "stray":
+            return None
+        literal = match.group(kind)
+        if kind == "string":
+            values.append(literal[1:-1].replace("''", "'"))
+            placeholder = "?s"
+        else:
+            try:
+                values.append(number_value(literal))
+            except ValueError:
+                return None
+            placeholder = "?i" if type(values[-1]) is int else "?f"
+        if len(values) > MAX_LITERALS:
+            return None
+        pieces.append(text[start : match.start(kind)])
+        pieces.append(placeholder)
+        start = match.end()
+    pieces.append(text[start:])
+    return "".join(pieces), values
+
+
+def number_value(text: str) -> int | float:
+    """A NUMBER token's value: a float when it has a dot or an exponent."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
 
 
 def _read_string(text: str, index: int) -> tuple[str, int]:

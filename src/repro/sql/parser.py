@@ -10,22 +10,32 @@ function calls and resolve in the function registry.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any
+import operator
+from typing import Any, Callable
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, number_value, tokenize
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+
+#: what the parser made of one literal token: the :class:`~repro.sql.ast.Literal`
+#: it became (``None`` for a LIMIT/OFFSET or DDL count), the token's own
+#: value, and the conversion from the one to the other — ``None`` as is,
+#: :func:`operator.neg` for a folded ``-3``, a date parse for ``DATE '…'``
+Source = tuple["ast.Literal | None", Any, "Callable[[Any], Any] | None"]
 
 
 class Parser:
     """One-shot parser over a token list; use :func:`parse`."""
 
-    def __init__(self, tokens: list[Token], text: str) -> None:
+    def __init__(
+        self, tokens: list[Token], text: str, sources: list[Source] | None = None
+    ) -> None:
         self._tokens = tokens
         self._text = text
         self._index = 0
+        self._sources = sources
 
     # -- token helpers ----------------------------------------------------
 
@@ -89,7 +99,19 @@ class Parser:
         if token.kind != "NUMBER":
             raise SqlSyntaxError(f"expected number, found {token.value!r}", token.position)
         self._advance()
-        return _to_number(token.value)
+        value = number_value(token.value)
+        self._record(None, value)
+        return value
+
+    def _record(
+        self,
+        literal: ast.Literal | None,
+        value: Any,
+        convert: Callable[[Any], Any] | None = None,
+    ) -> None:
+        """Note one consumed literal token when the caller asked for sources."""
+        if self._sources is not None:
+            self._sources.append((literal, value, convert))
 
     # -- entry points -------------------------------------------------------
 
@@ -543,7 +565,13 @@ class Parser:
         if self._accept_punct("-"):
             operand = self._parse_unary()
             if isinstance(operand, ast.Literal) and isinstance(operand.value, (int, float)):
-                return ast.Literal(-operand.value)
+                folded = ast.Literal(-operand.value)
+                sources = self._sources
+                if sources and sources[-1][0] is operand:
+                    _operand, value, convert = sources[-1]
+                    negate = None if convert is operator.neg else operator.neg
+                    sources[-1] = (folded, value, negate)
+                return folded
             return ast.UnaryOp("-", operand)
         self._accept_punct("+")
         return self._parse_primary()
@@ -552,24 +580,28 @@ class Parser:
         token = self._current
         if token.kind == "NUMBER":
             self._advance()
-            return ast.Literal(_to_number(token.value))
+            value = number_value(token.value)
+            literal = ast.Literal(value)
+            self._record(literal, value)
+            return literal
         if token.kind == "STRING":
             self._advance()
-            return ast.Literal(token.value)
+            literal = ast.Literal(token.value)
+            self._record(literal, token.value)
+            return literal
         if self._accept_keyword("NULL"):
             return ast.Literal(None)
         if self._accept_keyword("TRUE"):
             return ast.Literal(True)
         if self._accept_keyword("FALSE"):
             return ast.Literal(False)
-        if self._check_keyword("DATE") and self._tokens[self._index + 1].kind == "STRING":
-            self._advance()
-            literal = self._advance().value
-            return ast.Literal(_dt.date.fromisoformat(literal))
-        if self._check_keyword("TIMESTAMP") and self._tokens[self._index + 1].kind == "STRING":
-            self._advance()
-            literal = self._advance().value
-            return ast.Literal(_dt.datetime.fromisoformat(literal))
+        for keyword, convert in _TYPED_STRINGS:
+            if self._check_keyword(keyword) and self._tokens[self._index + 1].kind == "STRING":
+                self._advance()
+                text = self._advance().value
+                literal = ast.Literal(convert(text))
+                self._record(literal, text, convert)
+                return literal
         if self._accept_keyword("CASE"):
             return self._parse_case()
         if self._accept_keyword("CONTAINS"):
@@ -643,15 +675,21 @@ class Parser:
         return expr.value
 
 
-def _to_number(text: str) -> int | float:
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
+#: ``DATE '…'`` / ``TIMESTAMP '…'``: a keyword, then a string it converts
+_TYPED_STRINGS: tuple[tuple[str, Callable[[str], Any]], ...] = (
+    ("DATE", _dt.date.fromisoformat),
+    ("TIMESTAMP", _dt.datetime.fromisoformat),
+)
 
 
-def parse(sql: str) -> ast.Statement:
-    """Parse one SQL statement."""
-    return Parser(tokenize(sql), sql).parse_statement()
+def parse(sql: str, sources: list[Source] | None = None) -> ast.Statement:
+    """Parse one SQL statement.
+
+    With ``sources``, every literal token the parser consumes is appended
+    to it in text order (see :data:`Source`): what the plan cache needs to
+    bind a later statement of the same shape without parsing it.
+    """
+    return Parser(tokenize(sql), sql, sources).parse_statement()
 
 
 def parse_expression(text: str) -> ast.Expr:

@@ -6,29 +6,38 @@ values; caching repeated traffic is the in-memory reuse argument of
 *SAP HANA and its performance benefits* (PAPERS.md) and the stated
 prerequisite for the front-door session layer (ROADMAP item 3).
 
-**Key idea — shape, not text.** :func:`fingerprint` renders a parsed
-statement with every expression literal replaced by ``?`` so that
-``... WHERE amount > 100`` and ``... WHERE amount > 250`` share one
-cache entry. Two things deliberately stay *verbatim* because the planner
-consumes them at plan time (they are part of the plan, not runtime
-inputs): ``ORDER BY 2`` positional ordinals, and ``LIMIT``/``OFFSET``
-counts.
+**Key idea — the shape of the text.** ``Database.execute`` keys the
+cache on :func:`repro.sql.lexer.shape`: the SQL text with every number
+and string literal replaced by a typed placeholder, found by one regex
+pass, so ``... WHERE amount > 100`` and ``... WHERE amount > 250`` share
+one entry and a repeated statement is neither lexed nor parsed. An entry
+holds the statement's parse as a :class:`Template` — which literal token
+of the text feeds which :class:`~repro.sql.ast.Literal` leaf, and how
+(a folded ``-3`` negates its token, ``DATE '…'`` parses it) — and, for a
+query, its plan. Tokens the planner consumes at plan time — ``LIMIT`` /
+``OFFSET`` counts and ``ORDER BY 2`` ordinals — are *fixed*: each value
+of them gets an entry of its own (:class:`PlanCache`), so a statement
+never binds to a plan made for another LIMIT. :func:`fingerprint`, the
+older key rendered from a parsed statement, remains for callers that
+hold an AST.
 
 **Binding.** A cached plan references the cached statement's frozen
-:class:`~repro.sql.ast.Literal` leaves by identity (the planner rebuilds
-interior expression nodes but never literal leaves). On a hit,
-:func:`instantiate` walks the *new* statement in the same deterministic
-order as :func:`collect_literals` and builds a *substitution copy* of
-the cached plan: only the spine above each literal whose value actually
-changed is rebuilt, and every untouched subtree — the entire plan, when
-the constants happen to match — is shared with the cached entry. Sharing
-is safe because plans are read-only during execution; nothing is ever
-mutated, so any number of executions of one shape may run concurrently,
-each on its own bound copy. :class:`PlanCache` itself is likewise
-thread-safe — lookups, inserts, invalidation, and the counters are
-guarded by one lock.
+literal leaves by identity (the planner rebuilds interior expression
+nodes but never literal leaves). On a hit the new values become a map
+from those leaves to fresh literals (:meth:`Template.bind`), and
+:func:`_substitute` builds a *substitution copy* of the cached plan — or,
+for DML, of the cached statement: only the spine above each literal
+whose value actually changed is rebuilt, and every untouched subtree —
+the entire plan, when the constants happen to match — is shared with the
+cached entry. :func:`instantiate` does the same for an AST-keyed entry.
+Sharing is safe because plans are read-only during execution; nothing is
+ever mutated, so any number of executions of one shape may run
+concurrently, each on its own bound copy. :class:`PlanCache` itself is
+likewise thread-safe — lookups, inserts, invalidation, and the counters
+are guarded by one lock.
 
-**Invalidation** is two-tier:
+**Invalidation** is two-tier, and drops an entry's *plan* but keeps its
+parse (a parse depends on the text alone):
 
 * *explicit* — ``invalidate_table()`` on DDL (CREATE/DROP) and on delta
   merge, since a merge changes partition layout and the cost picture;
@@ -38,7 +47,9 @@ guarded by one lock.
   and the entry is re-planned on next lookup.
 
 Hits, misses, evictions, staleness drops, and invalidations are all
-counted through :mod:`repro.obs` (``sql.plancache.*``).
+counted through :mod:`repro.obs` (``sql.plancache.*``). Hits and misses
+count query plans, as they did when the cache held plans only; a reused
+parse — DML's included — counts on ``parse_hits``.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
 from repro.sql import ast
@@ -182,11 +193,11 @@ def fingerprint(statement: ast.SelectStatement | ast.UnionStatement) -> str:
 # --------------------------------------------------------------------------
 
 
-def collect_literals(
-    statement: ast.SelectStatement | ast.UnionStatement,
-) -> list[ast.Literal]:
+def collect_literals(statement: ast.Statement) -> list[ast.Literal]:
     """Every patchable literal leaf, in the deterministic traversal order
-    that :func:`fingerprint` renders them (ORDER BY ordinals excluded)."""
+    that :func:`fingerprint` renders them — which is text order (ORDER BY
+    ordinals excluded). DML statements have slots too: the values of an
+    ``INSERT``, the assignments and ``WHERE`` of an ``UPDATE``/``DELETE``."""
     slots: list[ast.Literal] = []
 
     def expr(node: ast.Expr) -> None:
@@ -223,8 +234,21 @@ def collect_literals(
         for stmt in statement.selects:
             select(stmt)
         order(statement.order_by)
-    else:
+    elif isinstance(statement, ast.SelectStatement):
         select(statement)
+    elif isinstance(statement, ast.InsertStatement):
+        for row in statement.rows:
+            for value in row:
+                expr(value)
+        if statement.select is not None:
+            select(statement.select)
+    elif isinstance(statement, ast.UpdateStatement):
+        for _column, value in statement.assignments:
+            expr(value)
+        if statement.where is not None:
+            expr(statement.where)
+    elif isinstance(statement, ast.DeleteStatement) and statement.where is not None:
+        expr(statement.where)
     return slots
 
 
@@ -241,9 +265,92 @@ def plan_tables(root: Any) -> frozenset[str]:
     return frozenset(tables)
 
 
+#: how a literal token's value becomes its leaf's value (``None``: as is)
+Conversion = Callable[[Any], Any] | None
+
+
+@dataclass(frozen=True)
+class Template:
+    """The parse behind one text shape key, ready to take new values.
+
+    ``values`` below are a text's literal token values, in text order, as
+    :func:`repro.sql.lexer.shape` returns them.
+    """
+
+    statement: Any  # the ast statement parsed from the first text of the shape
+    #: (token index, leaf, conversion) for each token that feeds a slot
+    slots: tuple[tuple[int, ast.Literal, Conversion], ...]
+    #: (token index, value) for each token the planner consumes:
+    #: LIMIT/OFFSET counts and ORDER BY ordinals
+    fixed: tuple[tuple[int, Any], ...]
+    #: ids of the statement's containers above a slot leaf: precomputed for
+    #: DML, which binds into its statement on every hit; a query binds into
+    #: its plan and walks its statement only when that is asked for
+    spine: frozenset[int] | None = None
+
+    @property
+    def is_query(self) -> bool:
+        return isinstance(self.statement, (ast.SelectStatement, ast.UnionStatement))
+
+    def bind(self, values: Sequence[Any]) -> dict[int, ast.Literal]:
+        """Fresh literals for the slots whose value changed, keyed by the
+        ``id`` of the cached leaf they replace."""
+        mapping: dict[int, ast.Literal] = {}
+        for index, leaf, convert in self.slots:
+            value = values[index] if convert is None else convert(values[index])
+            if type(value) is not type(leaf.value) or value != leaf.value:
+                mapping[id(leaf)] = ast.Literal(value)
+        return mapping
+
+    def statement_for(self, mapping: dict[int, ast.Literal]) -> Any:
+        """The statement with ``mapping`` bound (the cached one when empty)."""
+        if not mapping:
+            return self.statement
+        return _substitute(self.statement, mapping, self.spine or self.slot_spine())
+
+    def slot_spine(self) -> frozenset[int]:
+        return slot_spine(self.statement, [leaf for _index, leaf, _convert in self.slots])
+
+
+def record_template(
+    statement: Any,
+    slots: list[ast.Literal],
+    sources: Sequence[tuple[ast.Literal | None, Any, Conversion]],
+    values: Sequence[Any],
+) -> Template | None:
+    """The template of a statement just parsed from a text whose literal
+    values are ``values``; ``sources`` is what the parser noted per literal
+    token (``repro.sql.parser.Source``), ``slots`` the statement's
+    :func:`collect_literals`. ``None`` when the parser's tokens and the
+    shape pass's values do not line up one to one — such a text is never
+    cached. A token whose leaf is a slot binds to it; every other token
+    (a LIMIT count, an ORDER BY ordinal) is fixed."""
+    if len(sources) != len(values):
+        return None
+    slot_ids = {id(slot) for slot in slots}
+    bound: list[tuple[int, ast.Literal, Conversion]] = []
+    fixed: list[tuple[int, Any]] = []
+    for index, ((leaf, token_value, convert), value) in enumerate(zip(sources, values)):
+        if type(token_value) is not type(value) or token_value != value:
+            return None
+        if leaf is not None and id(leaf) in slot_ids:
+            bound.append((index, leaf, convert))
+        else:
+            fixed.append((index, value))
+    template = Template(statement, tuple(bound), tuple(fixed))
+    if template.is_query:
+        return template
+    return dataclasses.replace(template, spine=template.slot_spine())
+
+
 @dataclass
 class PlanEntry:
-    """One cached plan plus everything needed to reuse and invalidate it."""
+    """One cached plan plus everything needed to reuse and invalidate it.
+
+    An entry made from SQL text also carries the :class:`Template` it was
+    parsed into; a DML entry is only that (``plan`` None), and so is a
+    query entry whose plan a merge or a feedback drift dropped.
+    """
 
     plan: Any  # a planner PlanNode tree
     slots: list[ast.Literal]  # literal leaves the plan references, in order
@@ -255,10 +362,26 @@ class PlanEntry:
     #: slot-value fingerprint recorded by ``plancheck.entry_seal`` at
     #: insert; a later mismatch proves the frozen entry was mutated
     seal: tuple | None = None
+    #: the parse of the text this entry is keyed by, if it has one
+    template: Template | None = None
 
     def __post_init__(self) -> None:
         if self.spine is None:
             self.spine = slot_spine(self.plan, self.slots)
+
+    @property
+    def unplanned(self) -> bool:
+        """A query's parse without a plan: a hit must plan it first."""
+        return self.plan is None and self.template is not None and self.template.is_query
+
+    def without_plan(self) -> "PlanEntry | None":
+        """What survives when the plan goes: the parse, if there is one."""
+        if self.template is None:
+            return None
+        return PlanEntry(
+            plan=None, slots=self.slots, tables=frozenset(), seal=self.seal,
+            template=self.template,
+        )
 
 
 #: per-dataclass field-name cache for the substitution walk
@@ -322,25 +445,27 @@ def _substitute(value: Any, mapping: dict[int, ast.Literal], spine: frozenset[in
         return mapping.get(id(value), value)
     if id(value) not in spine:
         return value
-    if isinstance(value, list):
-        rebuilt_list = [_substitute(item, mapping, spine) for item in value]
-        if all(new is old for new, old in zip(rebuilt_list, value)):
+    # below, a child is only visited when it is on the spine or a literal:
+    # most fields of a spine node are neither, and a call per field is the
+    # bulk of a hit's binding cost
+    if isinstance(value, (list, tuple)):
+        items = [
+            _substitute(item, mapping, spine)
+            if id(item) in spine or type(item) is ast.Literal
+            else item
+            for item in value
+        ]
+        if all(new is old for new, old in zip(items, value)):
             return value
-        return rebuilt_list
-    if isinstance(value, tuple):
-        rebuilt_tuple = tuple(_substitute(item, mapping, spine) for item in value)
-        if all(new is old for new, old in zip(rebuilt_tuple, value)):
-            return value
-        return rebuilt_tuple
-    names = _field_names(type(value))
-    if names is None:  # unreachable for spine members, but stay safe
-        return value
+        return items if isinstance(value, list) else tuple(items)
+    # any other spine member is a dataclass (see slot_spine), its fields
+    # in its __dict__
     changes: dict[str, Any] = {}
-    for name in names:
-        old = getattr(value, name)
-        new = _substitute(old, mapping, spine)
-        if new is not old:
-            changes[name] = new
+    for name, old in value.__dict__.items():
+        if id(old) in spine or type(old) is ast.Literal:
+            new = _substitute(old, mapping, spine)
+            if new is not old:
+                changes[name] = new
     if not changes:
         return value
     # shallow clone without __init__/dataclasses.replace overhead — also
@@ -349,6 +474,13 @@ def _substitute(value: Any, mapping: dict[int, ast.Literal], spine: frozenset[in
     clone.__dict__.update(value.__dict__)
     clone.__dict__.update(changes)
     return clone
+
+
+def bind_plan(entry: PlanEntry, mapping: dict[int, ast.Literal]) -> Any:
+    """The cached plan with :meth:`Template.bind`'s ``mapping`` bound."""
+    if not mapping:
+        return entry.plan
+    return _substitute(entry.plan, mapping, entry.spine or frozenset())
 
 
 def instantiate(
@@ -384,69 +516,147 @@ def instantiate(
 
 
 class PlanCache:
-    """A bounded LRU of compiled plans keyed by query-shape fingerprint.
+    """A bounded LRU of statement shapes and their compiled plans.
 
     Thread-safe: the entry map and the counters are guarded by one lock,
     so concurrent sessions on one database may look up, insert, and
     invalidate freely. Entries themselves are immutable after ``put`` —
-    executions bind literals into private copies via :func:`instantiate`.
+    executions bind literals into private copies. The capacity bounds
+    entries; ``len()``, ``in`` and ``stats()["size"]`` count the ones
+    holding a plan, ``stats()["shapes"]`` all of them.
+
+    A shape with fixed tokens (a LIMIT count, an ORDER BY ordinal) keeps
+    one entry per value of them, keyed ``(key, fixed values)``: a pager
+    stepping through OFFSETs hits on each page it has seen before. Which
+    of a shape's tokens are fixed is the same for every text of the
+    shape — the parse's structure follows the tokens, not their values —
+    and is remembered per shape (``_layouts``, bounded like the entries;
+    a forgotten layout only costs a miss).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[str, PlanEntry] = OrderedDict()
+        self._entries: OrderedDict[str | tuple[str, tuple], PlanEntry] = OrderedDict()
+        self._layouts: OrderedDict[str, tuple[int, ...]] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.parse_hits = 0
         self.evictions = 0
         self.stale = 0
         self.invalidations = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._planned()
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._entries
-
-    def get(self, key: str, feedback: "CardinalityFeedback | None" = None) -> PlanEntry | None:
-        """Look up a plan; drops and misses entries whose feedback snapshot
-        no longer matches (the table's observed cardinalities moved)."""
-        with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and feedback is not None:
+            return entry is not None and entry.plan is not None
+
+    def _planned(self) -> int:
+        return sum(1 for entry in self._entries.values() if entry.plan is not None)
+
+    def _drop_plan(self, key: str | tuple[str, tuple], entry: PlanEntry) -> PlanEntry | None:
+        kept = entry.without_plan()
+        if kept is None:
+            del self._entries[key]
+        else:
+            self._entries[key] = kept
+        return kept
+
+    def _variant(self, key: str, values: Sequence[Any] | None) -> str | tuple[str, tuple]:
+        """Where the entry of ``key`` with these literal values is kept."""
+        layout = self._layouts.get(key) if values is not None else None
+        if layout is None:
+            return key
+        self._layouts.move_to_end(key)
+        return key, tuple(values[index] for index in layout)
+
+    def get(
+        self,
+        key: str,
+        feedback: "CardinalityFeedback | None" = None,
+        values: Sequence[Any] | None = None,
+    ) -> PlanEntry | None:
+        """Look up a shape — with ``values`` (a text's literal values), the
+        entry of their fixed-token variant.
+
+        An entry whose feedback snapshot no longer matches (the table's
+        observed cardinalities moved) loses its plan. A query entry counts
+        a hit when it has a plan and a miss when it has none (returned:
+        its parse is still good); any entry holding a parse counts a parse
+        hit. An
+        absent key counts a miss only without ``values``: a text's shape
+        may be DML, which the cache holds no plan for, so that caller
+        reports the miss (:meth:`miss`) once its parse shows a query.
+        """
+        with self._lock:
+            variant = self._variant(key, values)
+            entry = self._entries.get(variant)
+            if entry is None:
+                if values is None:
+                    self._count_miss()
+                return None
+            if entry.tables and feedback is not None:
                 if feedback.versions(entry.tables) != entry.versions:
-                    del self._entries[key]
+                    entry = self._drop_plan(variant, entry)
                     self.stale += 1
                     obs.count("sql.plancache.stale")
-                    entry = None
-            if entry is None:
-                self.misses += 1
-                obs.count("sql.plancache.misses")
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            obs.count("sql.plancache.hits")
+                    if entry is None:
+                        self._count_miss()
+                        return None
+            self._entries.move_to_end(variant)
+            if entry.template is not None:
+                self.parse_hits += 1
+                obs.count("sql.plancache.parse_hits")
+            if entry.unplanned:
+                self._count_miss()
+            elif entry.plan is not None:
+                self.hits += 1
+                obs.count("sql.plancache.hits")
             return entry
 
-    def put(self, key: str, entry: PlanEntry) -> None:
+    def miss(self) -> None:
+        """Count a plan miss on a query text whose shape :meth:`get` did
+        not find."""
         with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
+            self._count_miss()
+
+    def _count_miss(self) -> None:
+        self.misses += 1
+        obs.count("sql.plancache.misses")
+
+    def put(self, key: str, entry: PlanEntry) -> None:
+        """Cache ``entry`` under ``key`` — a text-keyed entry with fixed
+        tokens under its variant of the shape (see the class docstring)."""
+        with self._lock:
+            fixed = entry.template.fixed if entry.template is not None else ()
+            if fixed:
+                self._layouts[key] = tuple(index for index, _value in fixed)
+                self._layouts.move_to_end(key)
+                if len(self._layouts) > self.capacity:
+                    self._layouts.popitem(last=False)
+                variant: str | tuple[str, tuple] = (key, tuple(value for _index, value in fixed))
+            else:
+                variant = key
+            self._entries[variant] = entry
+            self._entries.move_to_end(variant)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 obs.count("sql.plancache.evictions")
 
     def invalidate_table(self, table: str) -> int:
-        """Drop every entry reading ``table`` (DDL / delta-merge hook)."""
+        """Drop the plan of every entry reading ``table`` (DDL / delta-merge
+        hook); returns how many plans went."""
         with self._lock:
             victims = [
-                key for key, entry in self._entries.items() if table in entry.tables
+                (key, entry) for key, entry in self._entries.items() if table in entry.tables
             ]
-            for key in victims:
-                del self._entries[key]
+            for key, entry in victims:
+                self._drop_plan(key, entry)
             if victims:
                 self.invalidations += len(victims)
                 obs.count("sql.plancache.invalidations", len(victims))
@@ -455,15 +665,20 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._layouts.clear()
 
     def stats(self) -> dict[str, Any]:
+        """Counters; ``hits``/``misses``/``hit_rate`` count query plans
+        only, ``parse_hits`` every text whose parse was reused."""
         with self._lock:
             lookups = self.hits + self.misses
             return {
-                "size": len(self._entries),
+                "size": self._planned(),
+                "shapes": len(self._entries),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
+                "parse_hits": self.parse_hits,
                 "evictions": self.evictions,
                 "stale": self.stale,
                 "invalidations": self.invalidations,

@@ -7,6 +7,8 @@ message — plus clean-plan and Database-wiring checks on the way.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import plancheck
@@ -21,6 +23,7 @@ from repro.analysis.plancheck import (
 from repro.core.database import Database
 from repro.sql import ast as sql_ast
 from repro.sql import plancache
+from repro.sql.lexer import shape
 from repro.sql.parser import parse
 from repro.sql.planner import (
     LimitNode,
@@ -195,13 +198,26 @@ def test_unknown_node_type_fails_charge_coverage(database):
     assert "RogueNode" in str(exc.value)
 
 
-# -- corruption 7: fingerprint arity disagrees with the entry's slots ---------------
+# -- corruption 7: the tokens a text key binds disagree with the entry's slots -----
 
 
 def test_slot_arity_mismatch_against_key(database):
-    entry, statement, _plan = entry_of("SELECT a FROM t WHERE b > 7", database)
-    findings = verify_entry(entry, statement, key="shape:?:?", catalog=database.catalog)
-    assert any("wrong positions" in f.message for f in findings)
+    """A text-keyed entry binds literal tokens to its slots; drop one
+    binding, or bind two tokens in swapped order, and a hit would write
+    the new values into the wrong leaves. The arity is what the entry
+    records, not a count of ``?`` in the key: that key holds a verbatim
+    LIMIT count and the quoted identifier ``"a?b"``."""
+    database.execute('CREATE TABLE q ("a?b" INT, b INT)')
+    database.query('SELECT "a?b" FROM q WHERE b > 7 AND "a?b" < 3 LIMIT 5')
+    (entry,) = [e for e in database.plan_cache._entries.values() if e.plan is not None]
+    assert verify_entry(entry, catalog=database.catalog) == []
+    bindings = entry.template.slots
+    for corrupt in (bindings[:1], bindings[::-1]):
+        template = dataclasses.replace(entry.template, slots=corrupt)
+        findings = verify_entry(
+            dataclasses.replace(entry, template=template), catalog=database.catalog
+        )
+        assert any("wrong positions" in f.message for f in findings), corrupt
 
 
 # -- corruption 8: a literal slot unreachable from the frozen plan ------------------
@@ -281,13 +297,15 @@ def test_cached_entries_carry_a_seal(database):
 
 def test_unreachable_order_by_slot_refuses_caching_but_executes(database):
     # `ORDER BY b + 1` string-matches the select item, so the order-by
-    # literal is planned away while the fingerprint still renders it as a
-    # slot: the entry is conservatively refused, the query still runs
+    # literal is planned away while the text still feeds it a token: the
+    # entry is conservatively refused, the query still runs
     sql = "SELECT b + 1 AS x FROM t ORDER BY b + 1"
-    key = plancache.fingerprint(parse(sql))
+    key, _values = shape(sql)
+    database.execute("INSERT INTO t VALUES (1, 5, 'p'), (2, 3, 'q')")
     result = database.query(sql)
-    assert result.columns == ["x"]
+    assert result.rows == [[4], [6]]
     assert key not in database.plan_cache
+    assert database.plan_cache.stats()["shapes"] == 1  # the INSERT's parse only
 
 
 def test_strict_mode_raises_on_corrupt_plan(database):

@@ -56,7 +56,7 @@ def run_plan_corpus(count: int = 300, seed: int = 0) -> int:
             tables=plancache.plan_tables(plan.root),
             versions=database.feedback.versions(plancache.plan_tables(plan.root)),
         )
-        entry_findings = plancheck.verify_entry(entry, statement, key, database.catalog)
+        entry_findings = plancheck.verify_entry(entry, statement, database.catalog)
         entries += 1
         # `SELECT x+1 ... ORDER BY x+1` legitimately produces an entry the
         # cache must refuse (the order-by literal is planned away); that
