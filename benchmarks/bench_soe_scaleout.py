@@ -9,14 +9,17 @@ Measured shape: (a) per-node work for a partitioned aggregation drops
 near-linearly with the node count (the simulated-cluster equivalent of
 speedup); (b) the communication volume ranking of the three join
 strategies: co-located < broadcast < repartition for a large fact table
-and small dimension table.
+and small dimension table; (c) the node kernels' ordering step on dense
+integer keys, radix passes against the stable ``int64`` argsort.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.soe.engine import SoeEngine
+from repro.util.arrays import stable_order
 
 FACT_ROWS = 30_000
 DIM_ROWS = 64
@@ -117,3 +120,25 @@ def test_strategy_cost_ordering(benchmark, reporter):
     costs["colocated"] = cost.bytes_shipped
     reporter("E7", metric="bytes-shipped-ordering", **costs)
     assert costs["colocated"] < costs["broadcast"] < costs["repartition"]
+
+
+@pytest.mark.benchmark(group="E7-kernel-order")
+@pytest.mark.parametrize("rows", [10_000, 50_000, 200_000])
+@pytest.mark.parametrize("path", ["stable_order", "argsort"])
+def test_kernel_order(benchmark, reporter, rows, path):
+    """The node kernels' sort, layer by layer: ordering ``rows`` integer
+    keys over a span of ``rows`` (one 16-bit radix pass up to 65 536, two
+    beyond) against the stable ``int64`` argsort the sort path runs."""
+    keys = np.random.default_rng(7).integers(0, rows, rows)
+    if path == "stable_order":
+        order = benchmark(stable_order, keys, rows)
+    else:
+        order = benchmark(np.argsort, keys, kind="stable")
+    np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+    reporter(
+        "E7",
+        metric="kernel-order",
+        rows=rows,
+        path=path,
+        median_us=round(benchmark.stats.stats.median * 1e6, 1),
+    )

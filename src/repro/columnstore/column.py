@@ -33,6 +33,7 @@ from repro.columnstore.compression import (
 )
 from repro.columnstore.dictionary import AppendDictionary, SortedDictionary
 from repro.core.types import DataType, TypeCode
+from repro.util.arrays import stable_argsort
 
 Dictionary = SortedDictionary | AppendDictionary
 
@@ -128,18 +129,19 @@ class MainColumn:
     def positions_of(self, vid: int) -> np.ndarray:
         """Ascending positions of *every* row holding value id ``vid``.
 
-        A stable argsort of the value ids plus a binary search, built once
-        per fragment exactly like :meth:`lookup` (immutable fragment, so
-        nothing invalidates it). Several rows can hold one key: an UPDATE
-        is delete + insert and a non-compacting merge carries the dead
-        versions into main, so value id → position is *not* a permutation;
-        the caller picks the visible version.
+        A stable argsort of the value ids (radix passes: they are dense)
+        plus a binary search, built once per fragment exactly like
+        :meth:`lookup` (immutable fragment, so nothing invalidates it).
+        Several rows can hold one key: an UPDATE is delete + insert and a
+        non-compacting merge carries the dead versions into main, so value
+        id → position is *not* a permutation; the caller picks the visible
+        version.
         """
         if vid == NULL_VID or not len(self.encoded):
             return _NO_POSITIONS
         if self._positions is None:
             vids = self.vids()
-            order = np.argsort(vids, kind="stable")
+            order = stable_argsort(vids)
             self._positions = (order, vids[order])
         order, ordered_vids = self._positions
         low, high = ordered_vids.searchsorted((vid, vid + 1))

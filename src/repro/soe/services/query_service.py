@@ -35,7 +35,7 @@ from repro.soe.partitions import route_column
 from repro.soe.replication import DataNode
 from repro.soe.tasks import Columns, Filter, GroupStates, HashTable, Task
 from repro.sql.expressions import Batch
-from repro.sql.kernels import join_pairs, match_keys, nulls
+from repro.sql.kernels import join_pairs, match_keys, nulls, unique_inverse
 
 
 class QueryService:
@@ -150,7 +150,7 @@ class QueryService:
         rows = self._read(task, [params["key_column"], *params["columns"]])
         buckets = route_column(rows.columns[params["key_column"]], params["buckets"])
         shuffle = {}
-        for bucket in np.unique(buckets).tolist():
+        for bucket in unique_inverse(buckets)[0].tolist():
             part = rows.filter(buckets == bucket)
             shuffle[bucket] = Columns(part.columns, len(part))
         return shuffle

@@ -97,6 +97,8 @@ from repro.sql.kernels import (
     match_keys,
     nulls,
     rank_table,
+    stable_argsort,
+    unique_inverse,
 )
 from repro.sql.planner import (
     AggregateNode,
@@ -122,21 +124,23 @@ def execute(plan: QueryPlan, context: ExecutionContext) -> Batch:
     return Batch(visible, len(batch))
 
 
-def _execute_node(node: PlanNode, context: ExecutionContext) -> Batch:
+def _execute_node(node: PlanNode, context: ExecutionContext, top: int | None = None) -> Batch:
     """Dispatch one plan node, recording it when a profiler is installed.
 
     This boundary is also the adaptive loop's measurement point: signed
     nodes report their actual row count to the feedback store and may
     raise :class:`~repro.sql.feedback.ReplanSignal` on a >10× estimate
-    blow-out (see :func:`repro.sql.feedback.observe_actual`).
+    blow-out (see :func:`repro.sql.feedback.observe_actual`). ``top``: the
+    caller (a LIMIT) reads no more than this many leading rows; a sort
+    then orders only the rows that can be among them.
     """
     profiler = context.profiler
     if profiler is None:
-        batch = _dispatch_node(node, context)
+        batch = _dispatch_node(node, context, top)
         _observe(node, batch, context)
         return batch
     with profiler.operator(node) as operator:
-        batch = _dispatch_node(node, context)
+        batch = _dispatch_node(node, context, top)
         operator.rows = len(batch)
         _observe(node, batch, context)
         return batch
@@ -155,7 +159,7 @@ def _observe(node: PlanNode, batch: Batch, context: ExecutionContext) -> None:
     fb.observe_actual(node, len(batch), context)
 
 
-def _dispatch_node(node: PlanNode, context: ExecutionContext) -> Batch:
+def _dispatch_node(node: PlanNode, context: ExecutionContext, top: int | None) -> Batch:
     if isinstance(node, ScanNode):
         return _execute_scan(node, context)
     if isinstance(node, SubqueryScanNode):
@@ -180,15 +184,15 @@ def _dispatch_node(node: PlanNode, context: ExecutionContext) -> Batch:
         return Batch(columns, len(child))
     if isinstance(node, SortNode):
         child = _execute_node(node.child, context)
-        order = _sort_order(child, node.keys)
-        return child.take(order)
+        return child.take(_sort_order(child, node.keys, top))
     if isinstance(node, DistinctNode):
         return _distinct(_execute_node(node.child, context))
     if isinstance(node, LimitNode):
-        child = _execute_node(node.child, context)
         start = node.offset or 0
-        stop = start + node.limit if node.limit is not None else len(child)
-        return child.take(np.arange(start, min(stop, len(child))))
+        stop = None if node.limit is None else start + node.limit
+        child = _execute_node(node.child, context, stop)
+        stop = len(child) if stop is None else min(stop, len(child))
+        return child.take(np.arange(start, stop))
     if isinstance(node, UnionNode):
         target_names = node.input_names[0]
         parts = []
@@ -792,7 +796,7 @@ def _join_keys(
             continue
         # fold the next pair in: densify both, then number the combinations
         dense = [
-            np.unique(np.concatenate(pair), return_inverse=True)[1]
+            unique_inverse(np.concatenate(pair))[1]
             for pair in ((left_key, right_key), (left_part, right_part))
         ]
         combined = dense[0] * (int(dense[1].max(initial=0)) + 1) + dense[1]
@@ -877,9 +881,9 @@ def _compute_aggregate(
     if name == "COUNT":
         if call.distinct:
             (keys,), _ = match_keys([column])
-            distinct, dense = np.unique(keys[valid], return_inverse=True)
+            distinct, dense = unique_inverse(keys[valid])
             width = max(len(distinct), 1)
-            pairs = np.unique(ids[valid] * width + dense)  # one per (group, value)
+            pairs, _ = unique_inverse(ids[valid] * width + dense)  # one per (group, value)
             return grouped_count(pairs // width, group_count)
         return grouped_count(ids[valid], group_count)
 
@@ -922,26 +926,43 @@ def _compute_aggregate(
 # --------------------------------------------------------------------------
 
 
-def _sort_order(batch: Batch, keys: list[tuple[str, bool]]) -> np.ndarray:
-    """Stable multi-key argsort honouring per-key direction; NULLs last."""
+def _sort_values(array: np.ndarray, ascending: bool) -> np.ndarray:
+    """A numeric sort key as the values an ascending stable argsort orders:
+    NaN (NULL) last either way, a descending key negated."""
+    values = array
+    if array.dtype.kind == "f":
+        values = np.where(np.isnan(array), np.inf if ascending else -np.inf, array)
+    return values if ascending else -values.astype(np.float64)
+
+
+def _sort_order(batch: Batch, keys: list[tuple[str, bool]], top: int | None = None) -> np.ndarray:
+    """Stable multi-key argsort honouring per-key direction; NULLs last.
+
+    With ``top``, only the first ``top`` entries have to be right: when the
+    leading key is numeric, ``np.partition`` keeps the rows that sort no
+    later than the ``top``-th value of that key (all ties included), and
+    only those are sorted. Each pass orders two rows by their keys and
+    their order before the pass, so those rows come out in the order the
+    full sort gives them, and every row it ranks in the first ``top`` is
+    among them.
+    """
     order = np.arange(len(batch))
+    name, ascending = keys[0]
+    leading = batch.columns[name]
+    if top is not None and 0 < top < len(batch) and leading.dtype.kind in "iuf":
+        values = _sort_values(leading, ascending)
+        order = np.flatnonzero(values <= np.partition(values, top - 1)[top - 1])
     for name, ascending in reversed(keys):
         array = batch.columns[name][order]
         if array.dtype == object:
             # order the distinct values once, then sort the rows by rank; a
             # descending key is the ascending order reversed ahead of the NULLs
             ranks, ordered = rank_table(as_coded(array))
-            local = np.argsort(ranks, kind="stable")
+            local = stable_argsort(ranks)
             if not ascending:
                 filled = int(np.count_nonzero(ranks < len(ordered) - 1))
                 local = np.concatenate([local[:filled][::-1], local[filled:]])
-            order = order[local]
         else:
-            values = array.astype(np.float64, copy=False) if array.dtype.kind == "f" else array
-            if array.dtype.kind == "f":
-                nan_mask = np.isnan(values)
-                filler = np.inf if ascending else -np.inf
-                values = np.where(nan_mask, filler, values)
-            local = np.argsort(values if ascending else -values.astype(np.float64), kind="stable")
-            order = order[local]
+            local = np.argsort(_sort_values(array, ascending), kind="stable")
+        order = order[local]
     return order

@@ -8,6 +8,18 @@ the same functions. Signatures know NumPy arrays and
 :class:`~repro.sql.expressions.Coded` columns only. Work is done on integer
 stand-ins, so the only Python-level work is per distinct value, and orders
 are defined: groups by first appearance, join pairs in left-row order.
+
+**Dense integer keys skip the comparison sort.** Dictionary codes, ranks
+and most catalog keys are integers over a span no wider than the input
+itself. When :func:`dense_span` finds that — ``max - min + 1`` at most the
+input's length — a presence map (:func:`unique_inverse`), per-key counts
+and one or two 16-bit radix passes (:func:`stable_order`) stand in for
+``np.unique``, ``searchsorted`` and the ``int64`` argsort, at a cost
+linear in the input. The budget is the input's length, so whether a kernel
+takes the dense path depends on the data alone, and the output is the one
+the sort would give, bit for bit; floats, object keys and wide spans keep
+the sort. The two primitives live in :mod:`repro.util.arrays`, below the
+storage layer, whose position index sorts its value ids with them too.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import numpy as np
 
 from repro.sql.expressions import Coded, Column, is_null_mask
 from repro.sql.functions import narrow_to_array
+from repro.util.arrays import dense_span, stable_argsort, stable_order
 
 
 def nulls(column: Column) -> np.ndarray:
@@ -82,6 +95,26 @@ def rank_table(coded: Coded) -> tuple[np.ndarray, np.ndarray]:
     return ranks[coded.codes], np.fromiter(ordered, dtype=object, count=len(ordered))
 
 
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)``; dense keys are numbered
+    through a presence map instead of a sort."""
+    low, span = dense_span(keys, len(keys))
+    if not span:
+        return np.unique(keys, return_inverse=True)
+    offsets = keys - low
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    number = np.cumsum(present) - 1
+    return (np.flatnonzero(present) + low).astype(keys.dtype, copy=False), number[offsets]
+
+
+def _first_rows(inverse: np.ndarray, count: int, length: int) -> np.ndarray:
+    """The earliest row of each of ``count`` numbered values."""
+    first = np.full(count, length)
+    np.minimum.at(first, inverse, np.arange(length))
+    return first
+
+
 def group_ids(columns: list[Column], length: int) -> tuple[np.ndarray, np.ndarray]:
     """``(group_ids, first_positions)`` of the rows grouped by all columns.
 
@@ -92,40 +125,55 @@ def group_ids(columns: list[Column], length: int) -> tuple[np.ndarray, np.ndarra
     """
     ids = np.zeros(length, dtype=np.int64)
     first_positions = np.zeros(min(length, 1), dtype=np.int64)
-    rows = np.arange(length)
     for column in columns:
         (keys,), _ = match_keys([column])  # NULL has one key: None's code, or NaN
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        first = np.full(len(distinct), length)
-        np.minimum.at(first, inverse, rows)
+        distinct, inverse = unique_inverse(keys)
+        first = _first_rows(inverse, len(distinct), length)
         order = np.argsort(first)
         rank = np.empty(len(first), dtype=np.int64)
         rank[order] = np.arange(len(first))
         if len(first_positions) <= 1:  # nothing to refine yet: the ranks are the groups
             ids, first_positions = rank[inverse], first[order]
             continue
-        _codes, first_positions, ids = np.unique(
-            ids * len(first) + rank[inverse], return_index=True, return_inverse=True
-        )
+        codes, ids = unique_inverse(ids * len(first) + rank[inverse])
+        first_positions = _first_rows(ids, len(codes), length)
     return ids, first_positions
 
 
 def join_pairs(
     left_key: np.ndarray, left_ok: np.ndarray, right_key: np.ndarray, right_ok: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort-based equi join on numeric keys: ``(left_index, right_index,
-    counts)``.
+    """Equi join on numeric keys: ``(left_index, right_index, counts)``.
 
     The pairs come in a hash join's order — left rows in order, each with
     its matches in ascending right position; ``counts[i]`` is the number
     of matches of left row ``i``. Rows whose ``ok`` flag is off (NULL keys)
-    never join.
+    never join. The right rows are ordered by key; a left key finds its run
+    by binary search, or — dense integer keys — by direct lookup in the
+    per-key run starts.
     """
     candidates = np.flatnonzero(right_ok)
-    order = candidates[np.argsort(right_key[candidates], kind="stable")]
-    sorted_keys = right_key[order]
-    first = np.searchsorted(sorted_keys, left_key, side="left")
-    counts = np.where(left_ok, np.searchsorted(sorted_keys, left_key, side="right") - first, 0)
+    build = right_key[candidates]
+    low, span = (
+        dense_span(build, len(left_key) + len(right_key))
+        if left_key.dtype.kind in "iu"
+        else (0, 0)
+    )
+    if span:
+        offsets = build - low
+        order = candidates[stable_order(offsets, span)]
+        per_key = np.bincount(offsets, minlength=span)
+        starts = np.cumsum(per_key) - per_key
+        # range-check before subtracting: a key far outside would wrap
+        inside = left_ok & (left_key >= low) & (left_key <= low + span - 1)
+        probe = np.where(inside, left_key, low) - low
+        first = starts[probe]
+        counts = np.where(inside, per_key[probe], 0)
+    else:
+        order = candidates[np.argsort(build, kind="stable")]
+        sorted_keys = right_key[order]
+        first = np.searchsorted(sorted_keys, left_key, side="left")
+        counts = np.where(left_ok, np.searchsorted(sorted_keys, left_key, side="right") - first, 0)
     left_index = np.repeat(np.arange(len(left_key)), counts)
     within_run = np.arange(len(left_index)) - np.repeat(np.cumsum(counts) - counts, counts)
     return left_index, order[np.repeat(first, counts) + within_run], counts

@@ -1,4 +1,5 @@
-"""Small array utilities shared across the storage layer."""
+"""Small array utilities shared across the storage layer and the operator
+kernels."""
 
 from __future__ import annotations
 
@@ -71,3 +72,39 @@ class GrowableInt64:
         if not 0 <= index < self._size:
             raise IndexError(index)
         self._data[index] = value
+
+
+#: the widest span :func:`stable_order` sorts: two 16-bit radix passes
+_RADIX_SPAN = 1 << 32
+
+
+def dense_span(keys: np.ndarray, budget: int) -> tuple[int, int]:
+    """``(low, span)`` of integer ``keys``: their minimum and ``max - min +
+    1``. ``span`` is 0 — take the sort path — for non-integer or no keys,
+    and when the span exceeds ``budget`` (the caller's input length) or
+    what two radix passes sort."""
+    if keys.dtype.kind not in "iu" or not len(keys):
+        return 0, 0
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1  # Python ints: no int64 wrap
+    return low, (span if span <= min(budget, _RADIX_SPAN) else 0)
+
+
+def stable_order(offsets: np.ndarray, span: int) -> np.ndarray:
+    """``np.argsort(offsets, kind="stable")`` for offsets in ``[0, span)``,
+    ``span`` at most 2**32: one stable ``uint16`` pass (a radix sort in
+    NumPy), or a low then a high 16-bit pass."""
+    if span <= 1 << 16:
+        return np.argsort(offsets.astype(np.uint16), kind="stable")
+    order = np.argsort((offsets & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (offsets >> 16).astype(np.uint16)
+    return order[np.argsort(high[order], kind="stable")]
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``; integer keys over a span no wider
+    than their count take :func:`stable_order`'s radix passes instead."""
+    low, span = dense_span(keys, len(keys))
+    if not span:
+        return np.argsort(keys, kind="stable")
+    return stable_order(keys - low, span)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.errors import ColumnNotFoundError, PlanError, TableNotFoundError
+from repro.sql import executor
 
 
 @pytest.fixture
@@ -228,3 +229,52 @@ def test_union_positional_column_matching(db):
     result = db.query("SELECT id AS k FROM sales UNION SELECT qty FROM sales")
     assert result.columns == ["k"]
     assert sorted(r[0] for r in result.rows) == [1, 2, 3, 4, 5]
+
+
+@pytest.fixture
+def ranked():
+    """300 rows with heavy ties on every sort key, and NULLs in most."""
+    database = Database()
+    database.execute("CREATE TABLE r (id INT, grp VARCHAR, amount DOUBLE, qty INT)")
+    values = []
+    for i in range(300):
+        grp = "NULL" if i % 11 == 0 else f"'g{i % 4}'"
+        amount = "NULL" if i % 13 == 0 else f"{(i * 37) % 23 / 2}"
+        values.append(f"({i}, {grp}, {amount}, {(i * 7) % 5 - 2})")
+    database.execute(f"INSERT INTO r VALUES {', '.join(values)}")
+    return database
+
+
+@pytest.mark.parametrize(
+    "order_by",
+    [
+        "amount DESC, id",
+        "amount, grp DESC",
+        "qty, amount DESC",
+        "qty DESC, grp, amount",
+        "amount DESC",
+        "grp, qty",  # leading string key: no pre-selection, same answer
+    ],
+)
+@pytest.mark.parametrize("limit, offset", [(1, 0), (10, 0), (10, 25), (7, 290), (0, 0), (400, 0)])
+def test_order_by_limit_is_the_full_sort_cut(ranked, monkeypatch, order_by, limit, offset):
+    """ORDER BY ... LIMIT sorts only the rows that tie with or beat the
+    limit's last row on the leading numeric key, and returns exactly the
+    rows the full sort puts there."""
+    sql = f"SELECT id, grp, amount, qty FROM r ORDER BY {order_by}"
+    full = ranked.query(sql).rows
+    sorted_rows = []
+    sort_order = executor._sort_order
+
+    def spy(batch, keys, top=None):
+        order = sort_order(batch, keys, top)
+        sorted_rows.append(len(order))
+        return order
+
+    monkeypatch.setattr(executor, "_sort_order", spy)
+    rows = ranked.query(f"{sql} LIMIT {limit} OFFSET {offset}").rows
+    assert rows == full[offset : offset + limit]
+    if order_by.startswith("grp") or limit + offset in (0, 400):
+        assert sorted_rows == [300]  # nothing to cut on, or nothing to cut
+    elif limit + offset <= 35:
+        assert sorted_rows[0] < 300  # the pre-selection cut the input
