@@ -42,6 +42,17 @@ _NO_POSITIONS = np.empty(0, dtype=np.int64)
 _NUMERIC_INT = (TypeCode.INTEGER, TypeCode.BIGINT)
 _NUMERIC_FLOAT = (TypeCode.DOUBLE, TypeCode.DECIMAL)
 
+#: the column types whose sorted dictionary is a NumPy array
+_ARRAY_DICTIONARY = {
+    TypeCode.INTEGER: np.dtype(np.int64),
+    TypeCode.BIGINT: np.dtype(np.int64),
+    TypeCode.DOUBLE: np.dtype(np.float64),
+}
+
+
+def _sorted_dictionary_for(dtype: DataType) -> SortedDictionary:
+    return SortedDictionary(dtype=_ARRAY_DICTIONARY.get(dtype.code))
+
 
 class MainColumn:
     """Immutable dictionary-encoded, compressed column fragment."""
@@ -53,7 +64,9 @@ class MainColumn:
         encoded: EncodedVector | None = None,
     ) -> None:
         self.dtype = dtype
-        self.dictionary: Dictionary = dictionary if dictionary is not None else SortedDictionary()
+        self.dictionary: Dictionary = (
+            dictionary if dictionary is not None else _sorted_dictionary_for(dtype)
+        )
         self.encoded: EncodedVector = (
             encoded if encoded is not None else BitPackedVector(np.empty(0, dtype=np.int64))
         )
@@ -73,20 +86,12 @@ class MainColumn:
         values: Sequence[Any],
         sorted_dictionary: bool = True,
     ) -> "MainColumn":
-        """Build a fragment from raw values (used by merge and bulk load)."""
+        """Build a fragment from raw values (a flexible table's new column)."""
         dictionary: Dictionary = (
-            SortedDictionary(v for v in values if v is not None)
-            if sorted_dictionary
-            else AppendDictionary()
+            _sorted_dictionary_for(dtype) if sorted_dictionary else AppendDictionary()
         )
-        if not sorted_dictionary:
-            dictionary.encode_many([v for v in values if v is not None])
-        vids = np.fromiter(
-            (dictionary.vid_of(value) for value in values),
-            dtype=np.int64,
-            count=len(values),
-        )
-        return cls(dtype, dictionary, choose_encoding(vids))
+        dictionary.encode_many(values)
+        return cls(dtype, dictionary, choose_encoding(dictionary.vids_of(values)))
 
     def __len__(self) -> int:
         return len(self.encoded)
@@ -153,8 +158,11 @@ class MainColumn:
 
     def memory_bytes(self) -> int:
         """Approximate footprint: encoded vector + dictionary payload."""
-        dict_bytes = sum(
-            len(v) if isinstance(v, str) else 8 for v in self.dictionary.values
+        values = self.dictionary.values
+        dict_bytes = (
+            8 * len(values)
+            if isinstance(values, np.ndarray)
+            else sum(len(v) if isinstance(v, str) else 8 for v in values)
         )
         return self.encoded.memory_bytes() + dict_bytes
 

@@ -191,6 +191,8 @@ def choose_encoding(vids: np.ndarray) -> EncodedVector:
 
     The heuristic mirrors a real column store's merge-time decision: count
     runs and the dominant value's share, then compare estimated sizes.
+    Value ids are dense (``NULL_VID`` up to the dictionary size), so the
+    share comes from one ``bincount`` no longer than the dictionary.
     """
     vids = np.asarray(vids, dtype=np.int64)
     if len(vids) == 0:
@@ -202,10 +204,10 @@ def choose_encoding(vids: np.ndarray) -> EncodedVector:
     if runs * 16 < candidates[0].memory_bytes():
         candidates.append(RunLengthVector(vids))
 
-    values, counts = np.unique(vids, return_counts=True)
+    counts = np.bincount(vids - NULL_VID)
     top = int(counts.argmax())
     if counts[top] >= 0.6 * len(vids):
-        candidates.append(SparseVector(vids, int(values[top])))
+        candidates.append(SparseVector(vids, top + NULL_VID))
 
     return min(candidates, key=lambda enc: enc.memory_bytes())
 

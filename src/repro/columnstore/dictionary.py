@@ -16,14 +16,16 @@ Section III ("maintenance of dictionaries of table columns"):
   was broken (the value still lands correctly, order queries fall back to
   sorting on demand).
 
-Both expose the same API: ``encode`` / ``encode_many`` (insert-or-lookup),
-``vid_of`` (lookup only), ``value_of`` / ``decode_many``, and range helpers.
+Both expose the same API: ``encode_many`` (insert-or-lookup; the append
+flavour also encodes one value at a time), ``vid_of`` / ``vids_of``
+(lookup only), ``value_of`` / ``decode_many``, and range helpers.
 NULL is never stored; the fragment uses :data:`~repro.columnstore.compression.NULL_VID`.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -31,16 +33,81 @@ import numpy as np
 from repro.columnstore.compression import NULL_VID
 
 
-class SortedDictionary:
-    """Sorted, deduplicated value dictionary with binary-search lookup."""
+def _numbers(values: Sequence[Any], dtype: np.dtype) -> tuple[np.ndarray, np.ndarray | None]:
+    """The non-NULL ``values`` of a numeric column as an array of
+    ``dtype``, and a mask of where they sit (``None``: everywhere). A
+    float column takes NaN — which reads take for NULL already — as NULL."""
+    if dtype.kind == "f":
+        array = np.fromiter(values, dtype=dtype, count=len(values))  # NULL -> NaN
+        mask = ~np.isnan(array)
+        return (array, None) if mask.all() else (array[mask], mask)
+    try:
+        return np.fromiter(values, dtype=dtype, count=len(values)), None
+    except TypeError:  # a NULL
+        mask = np.fromiter((value is not None for value in values), dtype=bool, count=len(values))
+        present = [value for value in values if value is not None]
+        return np.fromiter(present, dtype=dtype, count=len(present)), mask
 
-    def __init__(self, values: Iterable[Any] = ()) -> None:
-        self._values: list[Any] = sorted(set(values))
-        self._vid_by_value: dict[Any, int] = {
-            value: vid for vid, value in enumerate(self._values)
-        }
+
+def _sorted_unique(array: np.ndarray) -> np.ndarray:
+    """``np.unique`` by one sort (NumPy's hashed unique is slower on
+    numbers)."""
+    array = np.sort(array)
+    if len(array) < 2:
+        return array
+    keep = np.empty(len(array), dtype=bool)
+    keep[0] = True
+    np.not_equal(array[1:], array[:-1], out=keep[1:])
+    return array[keep]
+
+
+def _find(ordered: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Position of each ``wanted`` value in the sorted, unique
+    ``ordered`` array, :data:`NULL_VID` where it is absent."""
+    if not len(ordered):
+        return np.full(len(wanted), NULL_VID, dtype=np.int64)
+    found = np.minimum(np.searchsorted(ordered, wanted), len(ordered) - 1)
+    found[ordered[found] != wanted] = NULL_VID
+    return found
+
+
+def _vids_through(index: dict[Any, int], values: Sequence[Any]) -> np.ndarray:
+    """Value ids of ``values`` by one dict lookup each (NULL is never a
+    key, so it finds :data:`NULL_VID` like any absent value)."""
+    return np.fromiter(
+        map(index.get, values, itertools.repeat(NULL_VID)), dtype=np.int64, count=len(values)
+    )
+
+
+class SortedDictionary:
+    """Sorted, deduplicated value dictionary with binary-search lookup.
+
+    With a NumPy ``dtype`` (the numeric columns: INTEGER, BIGINT, DOUBLE)
+    the sorted values are an array of that dtype, and the merge's work —
+    finding fresh values, merging them in, remapping old ids, encoding
+    the delta — is array work (:meth:`encode_many`, :meth:`vids_of`).
+    Without one they are a Python list. Either way the value → id dict
+    behind :meth:`vid_of` is derived state: built on first lookup,
+    extended on append, dropped on a remap and not pickled.
+    """
+
+    #: class defaults, so a dictionary pickled without them loads
+    _dtype: np.dtype | None = None
+    _index: dict[Any, int] | None = None
+
+    def __init__(self, values: Iterable[Any] = (), dtype: np.dtype | None = None) -> None:
+        self._dtype = dtype
+        self._values: np.ndarray | list[Any] = (
+            _sorted_unique(np.fromiter(values, dtype=dtype))
+            if dtype is not None
+            else sorted(set(values))
+        )
+        self._index = None
         #: incremented every time existing value ids had to be remapped
         self.remap_count = 0
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {**self.__dict__, "_index": None}
 
     # -- size ---------------------------------------------------------------
 
@@ -48,42 +115,61 @@ class SortedDictionary:
         return len(self._values)
 
     def __contains__(self, value: Any) -> bool:
-        return value in self._vid_by_value
+        return self.vid_of(value) != NULL_VID
 
     @property
-    def values(self) -> list[Any]:
-        """The sorted value list (do not mutate)."""
+    def values(self) -> np.ndarray | list[Any]:
+        """The sorted values, an array for numeric columns (do not mutate)."""
         return self._values
 
     # -- lookup ---------------------------------------------------------------
+
+    def _lookup_index(self) -> dict[Any, int]:
+        if self._index is None:
+            values = self._values
+            keys = values.tolist() if isinstance(values, np.ndarray) else values
+            self._index = dict(zip(keys, range(len(keys))))
+        return self._index
 
     def vid_of(self, value: Any) -> int:
         """Value id of ``value`` or :data:`NULL_VID` when absent."""
         if value is None:
             return NULL_VID
-        return self._vid_by_value.get(value, NULL_VID)
+        return self._lookup_index().get(value, NULL_VID)
+
+    def vids_of(self, values: Sequence[Any]) -> np.ndarray:
+        """:meth:`vid_of` over a column of values of the column's type —
+        for an array dictionary one ``searchsorted``."""
+        if self._dtype is None:
+            return _vids_through(self._lookup_index(), values)
+        present, where = _numbers(values, self._dtype)
+        found = _find(self._values, present)
+        if where is None:
+            return found
+        vids = np.full(len(values), NULL_VID, dtype=np.int64)
+        vids[where] = found
+        return vids
 
     def value_of(self, vid: int) -> Any:
         """Value for ``vid`` (``None`` for :data:`NULL_VID`)."""
         if vid == NULL_VID:
             return None
-        return self._values[vid]
+        value = self._values[vid]
+        return value.item() if self._dtype is not None else value
 
     def decode_many(self, vids: np.ndarray) -> list[Any]:
         """Decode a vector of value ids to Python values."""
         values = self._values
-        return [None if vid == NULL_VID else values[vid] for vid in vids]
+        if self._dtype is None:
+            return [None if vid == NULL_VID else values[vid] for vid in vids]
+        vids = np.asarray(vids, dtype=np.int64)
+        listed = vids.tolist()  # a point read decodes one id: list work beats array work
+        if NULL_VID not in listed:
+            return values.take(vids).tolist()
+        decoded = values.take(np.maximum(vids, 0)).tolist() if len(values) else listed
+        return [None if vid == NULL_VID else value for vid, value in zip(listed, decoded)]
 
     # -- encoding -------------------------------------------------------------
-
-    def encode(self, value: Any) -> int:
-        """Insert-or-lookup a single value; may shift existing ids."""
-        remap = self.encode_many([value])
-        if remap is not None:
-            # The caller of single-value encode (the delta store does not
-            # use SortedDictionary) must tolerate remaps; surfaced via count.
-            pass
-        return self._vid_by_value[value] if value is not None else NULL_VID
 
     def encode_many(self, values: Sequence[Any]) -> np.ndarray | None:
         """Insert all ``values``; return the old→new vid remap or ``None``.
@@ -92,27 +178,51 @@ class SortedDictionary:
         ids stay valid and ``None`` is returned (the cheap path the
         application-aware key generation of Section III enables). Otherwise
         the returned int64 array maps old value ids to their new positions
-        and the caller must rewrite its encoded vectors.
+        and the caller must rewrite its encoded vectors: old value ``i``
+        lands at ``i`` plus the number of fresh values sorting before it —
+        one ``searchsorted`` of the old values into the fresh ones for an
+        array, one linear merge of the two sorted runs for a list.
         """
-        fresh = sorted({v for v in values if v is not None and v not in self._vid_by_value})
-        if not fresh:
+        old = self._values
+        if self._dtype is not None:
+            incoming = _sorted_unique(_numbers(values, self._dtype)[0])
+            fresh = incoming[_find(old, incoming) == NULL_VID]
+        else:
+            distinct = set(values)
+            distinct.discard(None)
+            fresh = [value for value in sorted(distinct) if not self._holds(value)]
+        if not len(fresh):
             return None
-        if not self._values or fresh[0] > self._values[-1]:
+        if not len(old) or fresh[0] > old[-1]:
             # pure append: no remap needed
-            for value in fresh:
-                self._vid_by_value[value] = len(self._values)
-                self._values.append(value)
+            if self._index is not None:
+                added = fresh.tolist() if self._dtype is not None else fresh
+                self._index.update(zip(added, range(len(old), len(old) + len(fresh))))
+            if self._dtype is not None:
+                self._values = np.concatenate([old, fresh])
+            else:
+                old.extend(fresh)
             return None
-        old_count = len(self._values)
-        merged = sorted(self._values + fresh)
-        new_vid_by_value = {value: vid for vid, value in enumerate(merged)}
-        remap = np.empty(old_count, dtype=np.int64)
-        for old_vid, value in enumerate(self._values):
-            remap[old_vid] = new_vid_by_value[value]
+        if self._dtype is not None:
+            remap = np.searchsorted(fresh, old) + np.arange(len(old))
+            merged = np.empty(len(old) + len(fresh), dtype=self._dtype)
+            merged[remap] = old
+            merged[np.searchsorted(old, fresh) + np.arange(len(fresh))] = fresh
+        else:
+            # two sorted runs: one linear merge; the old values are where
+            # the fresh ones are not
+            merged = sorted(old + fresh)
+            is_fresh = map(set(fresh).__contains__, merged)
+            remap = np.flatnonzero(~np.fromiter(is_fresh, dtype=bool, count=len(merged)))
         self._values = merged
-        self._vid_by_value = new_vid_by_value
+        self._index = None
         self.remap_count += 1
         return remap
+
+    def _holds(self, value: Any) -> bool:
+        """Membership by binary search: no index needed."""
+        at = bisect.bisect_left(self._values, value)
+        return at < len(self._values) and self._values[at] == value
 
     # -- order / range helpers -------------------------------------------------
 
@@ -180,6 +290,9 @@ class AppendDictionary:
         if value is None:
             return NULL_VID
         return self._vid_by_value.get(value, NULL_VID)
+
+    def vids_of(self, values: Sequence[Any]) -> np.ndarray:
+        return _vids_through(self._vid_by_value, values)
 
     def value_of(self, vid: int) -> Any:
         if vid == NULL_VID:

@@ -102,24 +102,17 @@ def _merge_partition_body(
         delta: DeltaColumn = partition.delta[key]
         stats.columns_processed += 1
         dictionary = main.dictionary
-        fresh_values = [value for value in delta.values if value is not None]
-        remap = dictionary.encode_many(fresh_values)
+        remap = dictionary.encode_many(delta.values)
 
         old_vids = main.encoded.decode()
         if remap is not None:
             # remap only real value ids; NULL_VID stays NULL_VID
-            rewritten = old_vids.copy()
-            non_null = rewritten != NULL_VID
-            rewritten[non_null] = remap[rewritten[non_null]]
-            old_vids = rewritten
+            non_null = old_vids != NULL_VID
+            old_vids = np.where(non_null, remap[old_vids], NULL_VID)
             stats.columns_remapped += 1
-            stats.ids_rewritten += int(non_null.sum())
+            stats.ids_rewritten += int(np.count_nonzero(non_null))
 
-        delta_vids = np.fromiter(
-            (dictionary.vid_of(value) for value in delta.values),
-            dtype=np.int64,
-            count=len(delta.values),
-        )
+        delta_vids = dictionary.vids_of(delta.values)
         vids = np.concatenate([old_vids, delta_vids]) if len(delta_vids) else old_vids
         if keep is not None:
             vids = vids[keep]

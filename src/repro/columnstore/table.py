@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.columnstore.column import DeltaColumn, MainColumn
+from repro.columnstore.compression import NULL_VID
 from repro.columnstore.partition import PartitionSpec, SinglePartition
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.types import DataType
@@ -129,17 +130,18 @@ class TablePartition:
         txn.record_insert(self.created, position)
         return position
 
-    def bulk_load(self, rows: Iterable[Sequence[Any]], cid: int) -> int:
-        """Load already-committed rows (recovery, merge, data movement)."""
-        count = 0
-        deltas = [self.delta[spec.name.lower()] for spec in self.schema.columns]
-        for row in rows:
-            for column, value in zip(deltas, row):
-                column.append(value)
-            self.created.append(cid)
-            self.deleted.append(INF_CID)
-            count += 1
-        return count
+    def append_columns(self, columns: Sequence[list[Any]], txn: Transaction) -> int:
+        """Append a batch of coerced rows, given column-major in schema
+        order, to the delta; returns the first row's position. One
+        ``extend`` per column, and one stamp slot for the batch."""
+        self._touch()
+        for column, values in zip(self.delta.values(), columns):
+            column.extend(values)
+        start, count = len(self.created), len(columns[0])
+        self.created.extend(np.full(count, txn.stamp, dtype=np.int64))
+        self.deleted.extend(np.full(count, INF_CID, dtype=np.int64))
+        txn.record_insert_range(self.created, start, start + count)
+        return start
 
     def require_undeleted(self, position: int) -> None:
         """First writer wins: refuse a version someone has deleted already."""
@@ -181,6 +183,18 @@ class TablePartition:
             shifted = np.asarray(in_delta, dtype=np.int64) + len(main)
             positions = np.concatenate([positions, shifted])
         return positions
+
+    def held_keys(self, values: Sequence[Any]) -> set[Any]:
+        """Those of the non-NULL ``values`` that some row version holds as
+        its primary key: one membership test against the key column's
+        dictionary and one against its delta — a superset when the
+        dictionary keeps a value no row holds any more."""
+        self._touch()
+        key = self.schema.key_column
+        in_main = np.flatnonzero(self.main[key].dictionary.vids_of(values) != NULL_VID)
+        held = {values[index] for index in in_main.tolist()}
+        held.update(set(values).intersection(self.delta[key].values))
+        return held
 
     def key_positions(
         self, values: Sequence[Any], snapshot_cid: int, own_tid: int = 0
@@ -363,11 +377,18 @@ class ColumnTable:
         single-column key are not checked at all.
         """
         key = self.schema.key_column
-        if key is None:
-            return
-        value = values[self.schema.position(key)]
-        if value is None:
-            return
+        value = None if key is None else values[self.schema.position(key)]
+        if value is not None:
+            self._check_key_value(value, txn, replacing)
+
+    def _check_key_value(
+        self,
+        value: Any,
+        txn: Transaction,
+        replacing: tuple[TablePartition, int] | None = None,
+    ) -> None:
+        """:meth:`_check_key` for the (non-NULL) key ``value``."""
+        key = self.schema.key_column
         own, snapshot = txn.stamp, txn.snapshot_cid
         for partition in self.partitions:
             for position in partition.key_versions(value).tolist():
@@ -400,30 +421,71 @@ class ColumnTable:
         return ordinal, position
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]], txn: Transaction) -> int:
-        """Insert many rows; returns the count.
+        """Insert many rows, set at a time; returns the count.
 
-        Every key is checked before the first row is stored — against the
-        versions the table holds (:meth:`_check_key`) and against the rest
-        of the batch as one set — so a refused batch writes nothing, and a
-        bulk load does not build the delta's position index row by row only
-        for the next merge to discard it.
+        The batch is coerced a column at a time
+        (:meth:`TableSchema.coerce_columns`) and every key is checked
+        before the first row is stored (:meth:`_check_keys`), so a refused
+        batch writes nothing. Each partition's share is then appended with
+        one ``extend`` per column (:meth:`TablePartition.append_columns`),
+        one stamp slot, one redo record and one commit hook.
         """
-        batch = [self.schema.coerce_row(row) for row in rows]
+        columns = self.schema.coerce_columns(rows)
+        count = len(columns[0]) if columns else 0
+        if not count:
+            return 0
+        self._check_keys(columns, txn)
+        if isinstance(self.partitioning, SinglePartition):
+            self._append_columns(0, columns, txn)
+            return count
+        route, schema = self.partitioning.route, self.schema
+        shares: dict[int, list[int]] = {}
+        for index, row in enumerate(zip(*columns)):
+            shares.setdefault(route(row, schema), []).append(index)
+        for ordinal, indexes in sorted(shares.items()):
+            self._append_columns(ordinal, [[values[i] for i in indexes] for values in columns], txn)
+        return count
+
+    def _check_keys(self, columns: list[list[Any]], txn: Transaction) -> None:
+        """:meth:`_check_key` for a batch: the keys the batch repeats
+        (found by set size) and those some partition already holds (one
+        membership test against each key fragment) are judged, in batch
+        order, by the same rules — so the outcome is the one inserting
+        the rows one by one would end on, and an empty table checks
+        nothing."""
         key = self.schema.key_column
-        if key is not None:
-            at = self.schema.position(key)
-            seen: set[Any] = set()
-            for values in batch:
-                self._check_key(values, txn)
-                if values[at] in seen:
-                    raise DuplicateKeyError(
-                        f"table {self.name!r}: the batch holds {key} = {values[at]!r} more than once"
-                    )
-                if values[at] is not None:
-                    seen.add(values[at])
-        for values in batch:
-            self._append(values, txn)
-        return len(batch)
+        if key is None:
+            return
+        keys = columns[self.schema.position(key)]
+        present = [value for value in keys if value is not None] if None in keys else keys
+        repeated = len(set(present)) != len(present)
+        held: set[Any] = set()
+        for partition in self.partitions:  # held_keys reloads an evicted partition
+            held.update(partition.held_keys(present))
+        if not held and not repeated:
+            return
+        seen: set[Any] = set()
+        for value in present:
+            if value in seen:
+                raise DuplicateKeyError(
+                    f"table {self.name!r}: the batch holds {key} = {value!r} more than once"
+                )
+            seen.add(value)
+            if value in held:
+                self._check_key_value(value, txn)
+
+    def _append_columns(self, ordinal: int, columns: list[list[Any]], txn: Transaction) -> None:
+        """Store, log and announce one partition's share of a checked batch."""
+        partition = self.partitions[ordinal]
+        start = partition.append_columns(columns, txn)
+        txn.log_redo({"op": "insert_many", "table": self.name, "columns": columns})
+
+        def announce(_cid: int) -> None:
+            if self._listeners:  # rows are materialised for listeners only
+                rows = [list(row) for row in zip(*columns)]
+                self._notify(EVENT_INSERT, partition, list(range(start, start + len(rows))), rows)
+
+        txn.on_commit(announce)
 
     def delete_at(
         self, ordinal: int, position: int, txn: Transaction, row: list[Any] | None = None

@@ -11,7 +11,7 @@ operate on the same catalog and transaction manager.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -496,26 +496,28 @@ class Database:
     ) -> int:
         table = self.catalog.table(statement.table)
         context = self._context(txn, parameters)
+        rows: list[Any]
         if statement.select is not None:
             plan = plan_select(statement.select, self.catalog)
-            batch = execute_plan(plan, context)
-            source_rows: Iterable[Sequence[Any]] = batch.rows()
+            rows = execute_plan(plan, context).rows()
         else:
-            source_rows = [
+            rows = [
                 [self._const_value(expr, context) for expr in row]
                 for row in statement.rows
             ]
-        count = 0
-        for row in source_rows:
-            if statement.columns is not None:
-                mapping = dict(zip(statement.columns, row))
-                if isinstance(table, ColumnTable):
-                    table.ensure_columns(mapping, dt.VARCHAR)
-                table.insert(mapping, txn)
-            else:
-                table.insert(list(row), txn)
-            count += 1
-        return count
+        if rows and statement.columns is not None:
+            if isinstance(table, ColumnTable):
+                table.ensure_columns(dict.fromkeys(statement.columns), dt.VARCHAR)
+            rows = [dict(zip(statement.columns, row)) for row in rows]
+        if statement.select is not None:
+            # a query's rows are a set: coerced, key-checked and stored as
+            # one batch, so a refused set writes none of its rows
+            return table.insert_many(rows, txn)
+        # VALUES rows go in one by one: a row refused by its key leaves
+        # those before it written (tombstones once the statement rolls back)
+        for row in rows:
+            table.insert(row, txn)
+        return len(rows)
 
     def _matching_positions(
         self,
@@ -817,6 +819,8 @@ class Database:
         table = self.catalog.table(record["table"])
         if operation == "insert":
             table.insert(record["row"], txn)
+        elif operation == "insert_many":
+            table.insert_many(zip(*record["columns"]), txn)
         elif operation == "delete":
             target = table.schema.coerce_row(record["row"])
             if isinstance(table, ColumnTable):

@@ -19,15 +19,30 @@ class ColumnSpec:
     default: Any = None
 
     def coerce(self, value: Any) -> Any:
-        """Coerce ``value`` for this column, applying NULL rules."""
-        if value is None:
-            if self.default is not None:
-                value = self.default
-            elif not self.nullable:
-                raise SchemaError(f"column {self.name!r} is NOT NULL")
-            else:
-                return None
-        return self.dtype.coerce(value)
+        """Coerce ``value`` for this column, applying NULL rules.
+
+        A value its type coerces to NULL (a float NaN in DOUBLE) follows
+        the NULL rules too."""
+        if value is not None:
+            value = self.dtype.coerce(value)
+            if value is not None:
+                return value
+        if self.default is not None:
+            return self.dtype.coerce(self.default)
+        if not self.nullable:
+            raise SchemaError(f"column {self.name!r} is NOT NULL")
+        return None
+
+    def coerce_many(self, values: list[Any]) -> list[Any]:
+        """:meth:`coerce` over a column of values (see
+        :meth:`DataType.coerce_many`)."""
+        ruled = self.default is not None or not self.nullable
+        if ruled and None in values:
+            return [self.coerce(value) for value in values]
+        coerced = self.dtype.coerce_many(values)
+        if ruled and None in coerced:  # a value the type took for NULL
+            return [self.coerce(value) for value in values]
+        return coerced
 
 
 @dataclass
@@ -110,18 +125,41 @@ class TableSchema:
         mapping from column name to value (missing names become NULL or the
         column default).
         """
+        values = self._positional(row)
+        return [spec.coerce(value) for spec, value in zip(self.columns, values)]
+
+    def coerce_columns(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[list[Any]]:
+        """Validate and coerce a batch of rows, returned column-major: one
+        list per schema column.
+
+        The batch is transposed once and each column coerced by
+        :meth:`ColumnSpec.coerce_many`. The values are those of
+        :meth:`coerce_row`; with several bad values in a batch, the error
+        reported is the first bad value of the first bad *column*.
+        """
+        rows = list(rows)
+        if not set(map(type, rows)) <= {list, tuple}:
+            rows = [self._positional(row) for row in rows]
+        width = len(self.columns)
+        wrong = set(map(len, rows)) - {width}
+        if wrong:
+            raise SchemaError(f"row has {min(wrong)} values, schema has {width} columns")
+        columns = list(map(list, zip(*rows))) if rows else [[] for _ in self.columns]
+        return [spec.coerce_many(values) for spec, values in zip(self.columns, columns)]
+
+    def _positional(self, row: Sequence[Any] | Mapping[str, Any]) -> list[Any]:
+        """``row`` as a list in schema order (the shape checks of
+        :meth:`coerce_row`)."""
         if isinstance(row, Mapping):
             unknown = [name for name in row if not self.has_column(name)]
             if unknown:
                 raise SchemaError(f"unknown columns in row: {unknown}")
-            values = [row.get(spec.name, row.get(spec.name.lower())) for spec in self.columns]
-        else:
-            if len(row) != len(self.columns):
-                raise SchemaError(
-                    f"row has {len(row)} values, schema has {len(self.columns)} columns"
-                )
-            values = list(row)
-        return [spec.coerce(value) for spec, value in zip(self.columns, values)]
+            return [row.get(spec.name, row.get(spec.name.lower())) for spec in self.columns]
+        if len(row) != len(self.columns):
+            raise SchemaError(
+                f"row has {len(row)} values, schema has {len(self.columns)} columns"
+            )
+        return list(row)
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """Extract the primary-key tuple from a schema-ordered row."""

@@ -110,8 +110,9 @@ class DataType:
     def coerce(self, value: Any) -> Any:
         """Coerce ``value`` to this type's canonical Python representation.
 
-        ``None`` always passes through (SQL NULL). Raises
-        :class:`TypeMismatchError` when the value cannot be represented.
+        ``None`` always passes through (SQL NULL), and a float NaN becomes
+        ``None`` in DOUBLE and DECIMAL. Raises :class:`TypeMismatchError`
+        when the value cannot be represented.
         """
         if value is None:
             return None
@@ -124,9 +125,57 @@ class DataType:
                 f"cannot coerce {value!r} to {self!r}: {exc}"
             ) from exc
 
+    def coerce_many(self, values: list[Any]) -> list[Any]:
+        """``[coerce(value) for value in values]``, a column at a time.
+
+        One pass over the value types decides: a column already in its
+        canonical form (exact ``int`` in range, ``float``, ``str`` within
+        ``VARCHAR(n)``, ``date``, ...) comes back as the same list; any
+        other column falls back to :meth:`coerce` per value, so results
+        and errors are the per-value ones.
+        """
+        kinds = set(map(type, values))
+        kinds.discard(type(None))
+        if not kinds:
+            return values
+        canonical = _CANONICAL.get(self.code)
+        if canonical is not None and canonical(self, kinds, values):
+            return values
+        return [self.coerce(value) for value in values]
+
     def sort_key(self, value: Any) -> Any:
         """Return a totally-ordered key for dictionary sorting."""
         return value
+
+
+def _non_null(values: list[Any]) -> list[Any]:
+    return [value for value in values if value is not None] if None in values else values
+
+
+def _canonical_integer(dtype: DataType, kinds: set[type], values: list[Any]) -> bool:
+    if kinds != {int}:
+        return False
+    present = _non_null(values)
+    bound = 2**31 if dtype.code is TypeCode.INTEGER else 2**63
+    return -bound <= min(present) and max(present) < bound
+
+
+def _canonical_double(dtype: DataType, kinds: set[type], values: list[Any]) -> bool:
+    if kinds != {float} or (dtype.code is TypeCode.DECIMAL and dtype.scale is not None):
+        return False
+    # a NaN makes the sum NaN (so may an inf meeting a -inf: then the
+    # per-value path just finds no NaN)
+    return not math.isnan(sum(_non_null(values)))
+
+
+def _canonical_varchar(dtype: DataType, kinds: set[type], values: list[Any]) -> bool:
+    if kinds != {str}:
+        return False
+    return dtype.length is None or max(map(len, _non_null(values))) <= dtype.length
+
+
+def _canonical_exact(kind: type) -> Any:
+    return lambda _dtype, kinds, _values: kinds == {kind}
 
 
 def _coerce_integer(dtype: DataType, value: Any) -> int:
@@ -149,11 +198,14 @@ def _coerce_integer(dtype: DataType, value: Any) -> int:
     return result
 
 
-def _coerce_double(dtype: DataType, value: Any) -> float:
+def _coerce_double(dtype: DataType, value: Any) -> float | None:
     if isinstance(value, bool):
         return float(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
         return float(value)
+    if isinstance(value, float):
+        # NaN is NULL, as it is in the executor's float columns
+        return None if math.isnan(value) else float(value)
     if isinstance(value, str):
         result = float(value.strip())
         if math.isnan(result):
@@ -162,11 +214,11 @@ def _coerce_double(dtype: DataType, value: Any) -> float:
     raise TypeMismatchError(f"cannot coerce {type(value).__name__} to {dtype!r}")
 
 
-def _coerce_decimal(dtype: DataType, value: Any) -> float:
+def _coerce_decimal(dtype: DataType, value: Any) -> float | None:
     # Decimals are carried as floats rounded to the declared scale; exact
     # decimal arithmetic is out of scope for the reproduction.
     result = _coerce_double(dtype, value)
-    if dtype.scale is not None:
+    if result is not None and dtype.scale is not None:
         result = round(result, dtype.scale)
     return result
 
@@ -261,6 +313,19 @@ _COERCERS = {
     TypeCode.GEOMETRY: _coerce_geometry,
     TypeCode.DOCUMENT: _coerce_document,
     TypeCode.TIMESERIES: _coerce_timeseries,
+}
+
+#: ``(dtype, value types, values) -> bool``: would :meth:`DataType.coerce`
+#: return every value unchanged? Types without an entry always coerce.
+_CANONICAL = {
+    TypeCode.INTEGER: _canonical_integer,
+    TypeCode.BIGINT: _canonical_integer,
+    TypeCode.DOUBLE: _canonical_double,
+    TypeCode.DECIMAL: _canonical_double,
+    TypeCode.VARCHAR: _canonical_varchar,
+    TypeCode.BOOLEAN: _canonical_exact(bool),
+    TypeCode.DATE: _canonical_exact(_dt.date),
+    TypeCode.TIMESTAMP: _canonical_exact(_dt.datetime),
 }
 
 

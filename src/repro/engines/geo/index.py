@@ -46,10 +46,13 @@ class GridIndex:
     def within_radius(self, center: Point, radius: float) -> list[tuple[Hashable, Point]]:
         """All points within ``radius`` (planar) of ``center``."""
         result: list[tuple[Hashable, Point]] = []
-        min_cx = math.floor((center.x - radius) / self.cell_size)
-        max_cx = math.floor((center.x + radius) / self.cell_size)
-        min_cy = math.floor((center.y - radius) / self.cell_size)
-        max_cy = math.floor((center.y + radius) / self.cell_size)
+        # the distance test rounds: a point a rounding error outside the
+        # radius's box can still measure as inside, so its cell must be visited
+        reach = radius + 4 * math.ulp(abs(center.x) + abs(center.y) + radius)
+        min_cx = math.floor((center.x - reach) / self.cell_size)
+        max_cx = math.floor((center.x + reach) / self.cell_size)
+        min_cy = math.floor((center.y - reach) / self.cell_size)
+        max_cy = math.floor((center.y + reach) / self.cell_size)
         for cx in range(min_cx, max_cx + 1):
             for cy in range(min_cy, max_cy + 1):
                 for key, point in self._cells.get((cx, cy), ()):

@@ -39,13 +39,14 @@ class StampSlot:
     """A pending MVCC stamp: where to write the commit id on commit.
 
     ``vector`` is any object supporting ``__setitem__(position, int)`` —
-    in practice a :class:`repro.util.arrays.GrowableInt64`.
+    in practice a :class:`repro.util.arrays.GrowableInt64`. ``position``
+    is one row, or a ``slice`` of rows a batch appended together.
     ``on_abort`` is the value to restore on rollback (``INF_CID`` for
     deletions, the tombstone for insertions).
     """
 
     vector: Any
-    position: int
+    position: int | slice
     on_abort: int
 
 
@@ -88,6 +89,12 @@ class Transaction:
         """Register a freshly inserted row's ``created`` slot."""
         self._require_active()
         self._created_slots.append(StampSlot(vector, position, INF_CID))
+
+    def record_insert_range(self, vector: Any, start: int, stop: int) -> None:
+        """Register the ``created`` slots of rows ``start..stop-1``,
+        appended as one batch: one slot, stamped as a slice."""
+        self._require_active()
+        self._created_slots.append(StampSlot(vector, slice(start, stop), INF_CID))
 
     def record_delete(self, vector: Any, position: int) -> None:
         """Register a deletion's ``deleted`` slot."""

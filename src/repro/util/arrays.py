@@ -66,7 +66,10 @@ class GrowableInt64:
             raise IndexError(index)
         return int(self._data[index])
 
-    def __setitem__(self, index: int, value: int) -> None:
+    def __setitem__(self, index: int | slice, value: int) -> None:
+        if isinstance(index, slice):
+            self.view()[index] = value
+            return
         if index < 0:
             index += self._size
         if not 0 <= index < self._size:

@@ -103,3 +103,42 @@ def test_compression_report():
     report = compression_report(BitPackedVector(np.arange(100)))
     assert report["rows"] == 100.0
     assert report["ratio"] == pytest.approx(8.0)
+
+
+def _choice_by_unique(vids):
+    """The encoding ``choose_encoding`` picked when it counted with
+    ``np.unique``: the reference for its ``bincount`` path."""
+    candidates = [BitPackedVector(vids)]
+    runs = int(np.count_nonzero(vids[1:] != vids[:-1])) + 1
+    if runs * 16 < candidates[0].memory_bytes():
+        candidates.append(RunLengthVector(vids))
+    values, counts = np.unique(vids, return_counts=True)
+    top = int(counts.argmax())
+    if counts[top] >= 0.6 * len(vids):
+        candidates.append(SparseVector(vids, int(values[top])))
+    return min(candidates, key=lambda enc: enc.memory_bytes())
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shape", ["random", "runs", "sparse", "sparse_nulls", "tied", "wide"])
+def test_choose_encoding_by_bincount_picks_what_unique_picked(shape, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    if shape == "random":
+        vids = rng.integers(-1, max(n // 3, 1), n)
+    elif shape == "runs":
+        vids = np.repeat(rng.integers(-1, 40, 60), int(rng.integers(1, 80)))
+    elif shape == "sparse":
+        vids = np.where(rng.random(n) < 0.9, 7, rng.integers(0, 50, n))
+    elif shape == "sparse_nulls":
+        vids = np.where(rng.random(n) < 0.7, NULL_VID, rng.integers(0, 5, n))
+    elif shape == "tied":  # two values at 50 % each: the tie goes to the smaller id
+        vids = rng.permutation(np.repeat([3, 1], n))
+    else:  # a dictionary far wider than the vector
+        vids = np.where(rng.random(n) < 0.8, 10 * n, rng.integers(0, 10 * n, n))
+    vids = vids.astype(np.int64)
+    chosen, reference = choose_encoding(vids), _choice_by_unique(vids)
+    assert type(chosen) is type(reference)
+    assert np.array_equal(chosen.decode(), vids)
+    if isinstance(reference, SparseVector):
+        assert chosen.default_vid == reference.default_vid

@@ -1,5 +1,6 @@
 """Property tests: dictionary encoding invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,3 +56,35 @@ def test_sorted_dictionary_range_vids_cover_exactly(values):
     lo, hi = dictionary.range_vids(low, high)
     covered = set(dictionary.values[lo:hi])
     assert covered == {v for v in set(values) if low <= v <= high}
+
+
+numbers = st.one_of(
+    st.lists(st.integers(-50, 50), max_size=40).map(lambda values: (values, np.dtype(np.int64))),
+    st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 1e300]), max_size=40).map(
+        lambda values: (values, np.dtype(np.float64))
+    ),
+)
+
+
+@given(numbers, st.lists(st.integers(0, 39), max_size=40), st.booleans())
+def test_array_dictionary_matches_the_list_dictionary(numbered, picks, with_nulls):
+    """The array flavour of a numeric column answers exactly what the
+    Python-list flavour answers: the same remap (or ``None``), the same
+    sorted values, and one ``vids_of`` equal to ``vid_of`` per value."""
+    values, dtype = numbered
+    first = values[: len(values) // 2]
+    second = [values[pick] for pick in picks if pick < len(values)] + values[len(values) // 2 :]
+    if with_nulls:
+        second = second + [None]
+    as_list, as_array = SortedDictionary(first), SortedDictionary(first, dtype)
+    remaps = as_list.encode_many(second), as_array.encode_many(second)
+    assert (remaps[0] is None) == (remaps[1] is None)
+    if remaps[0] is not None:
+        assert remaps[0].tolist() == remaps[1].tolist()
+    assert as_list.values == as_array.values.tolist()
+    probe = second + [12345, None]
+    assert as_array.vids_of(probe).tolist() == [as_list.vid_of(value) for value in probe]
+    assert [as_array.vid_of(value) for value in probe] == [as_list.vid_of(value) for value in probe]
+    vids = np.asarray([as_list.vid_of(value) for value in probe])
+    assert as_array.decode_many(vids) == as_list.decode_many(vids)
+    assert all(type(value) is type(dtype.type(0).item()) for value in as_array.decode_many(vids) if value is not None)

@@ -1,6 +1,6 @@
 """Property tests: the grid index agrees with exhaustive scans."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engines.geo.geometry import Point
@@ -12,6 +12,7 @@ point_lists = st.lists(st.tuples(coords, coords), min_size=0, max_size=60)
 
 
 @given(point_lists, st.tuples(coords, coords), st.floats(min_value=0.1, max_value=30.0))
+@example(points=[(-2.5223372357846707e-42, 0.0)], center_xy=(1.0, 0.0), radius=1.0)  # rounds inside
 @settings(max_examples=80)
 def test_radius_query_matches_naive(points, center_xy, radius):
     index = GridIndex(cell_size=3.0)
