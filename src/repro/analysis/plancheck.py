@@ -582,7 +582,7 @@ def verify_entry(
                     "cache",
                     "",
                     f"slot {index} (value {slot.value!r}) is not reachable "
-                    "from the frozen plan — instantiate would silently keep "
+                    "from the frozen plan — a binding would silently keep "
                     "the cached constant instead of binding the new one",
                 )
             )
@@ -639,7 +639,7 @@ def verify_binding(
             PlanFinding(
                 "cache",
                 "",
-                "constants changed but instantiate returned the frozen plan "
+                "constants changed but the binding returned the frozen plan "
                 "itself instead of a substitution copy",
             )
         )

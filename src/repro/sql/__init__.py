@@ -1,4 +1,5 @@
-"""The SQL stack: parser, planner, and three execution engines."""
+"""The SQL stack: parser, planner, one operator table run interpreted or
+compiled, and the Volcano interpreter as their oracle."""
 
 from repro.sql.parser import parse, parse_expression
 from repro.sql.planner import plan_select

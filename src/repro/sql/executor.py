@@ -41,6 +41,12 @@ expression is evaluated (``Batch.column``) or rows are produced
 first appearance of their keys, join output in left-row order with
 matches in right-row order, ``DISTINCT`` keeps first occurrences.
 
+**One operator table:** :data:`OPERATORS` maps each plan-node type to
+one function ``(node, input batches, context, top) → Batch``. The
+interpreter (:func:`_dispatch_node`) runs a node's inputs and then its
+operator; :mod:`repro.sql.compiler` generates a function that makes the
+same calls in a fixed order. Two drivers, one set of operators.
+
 **Observability:** every plan-node dispatch passes through
 :func:`_execute_node`, which hands the node to ``context.profiler`` when
 one is installed (``session.profile(sql)`` — see
@@ -118,14 +124,16 @@ from repro.sql.planner import (
 
 def execute(plan: QueryPlan, context: ExecutionContext) -> Batch:
     """Run a planned query; the result batch's keys are the output names."""
-    batch = _execute_node(plan.root, context)
-    # drop hidden sort columns
-    visible = {name: batch.columns[name] for name in plan.output_names}
-    return Batch(visible, len(batch))
+    return output(plan, _execute_node(plan.root, context))
+
+
+def output(plan: QueryPlan, batch: Batch) -> Batch:
+    """The root batch without its hidden sort columns."""
+    return Batch({name: batch.columns[name] for name in plan.output_names}, len(batch))
 
 
 def _execute_node(node: PlanNode, context: ExecutionContext, top: int | None = None) -> Batch:
-    """Dispatch one plan node, recording it when a profiler is installed.
+    """Run one plan node, recording it when a profiler is installed.
 
     This boundary is also the adaptive loop's measurement point: signed
     nodes report their actual row count to the feedback store and may
@@ -159,57 +167,74 @@ def _observe(node: PlanNode, batch: Batch, context: ExecutionContext) -> None:
     fb.observe_actual(node, len(batch), context)
 
 
-def _dispatch_node(node: PlanNode, context: ExecutionContext, top: int | None) -> Batch:
-    if isinstance(node, ScanNode):
-        return _execute_scan(node, context)
-    if isinstance(node, SubqueryScanNode):
-        inner = _execute_node(node.plan, context)
-        renamed = {
-            f"{node.alias}.{name}": inner.columns[name] for name in node.columns
-        }
-        return Batch(renamed, len(inner))
-    if isinstance(node, FilterNode):
-        child = _execute_node(node.child, context)
-        mask = np.asarray(evaluate(node.predicate, child, context), dtype=bool)
-        return child.filter(mask)
-    if isinstance(node, JoinNode):
-        return _execute_join(node, context)
-    if isinstance(node, AggregateNode):
-        return _execute_aggregate(node, context)
-    if isinstance(node, ProjectNode):
-        child = _execute_node(node.child, context)
-        columns: dict[str, Column] = {}
-        for expr, name in list(node.items) + list(node.hidden):
-            columns[name] = _operand(expr, child, context)
-        return Batch(columns, len(child))
-    if isinstance(node, SortNode):
-        child = _execute_node(node.child, context)
-        return child.take(_sort_order(child, node.keys, top))
-    if isinstance(node, DistinctNode):
-        return _distinct(_execute_node(node.child, context))
-    if isinstance(node, LimitNode):
-        start = node.offset or 0
-        stop = None if node.limit is None else start + node.limit
-        child = _execute_node(node.child, context, stop)
-        stop = len(child) if stop is None else min(stop, len(child))
-        return child.take(np.arange(start, stop))
-    if isinstance(node, UnionNode):
-        target_names = node.input_names[0]
-        parts = []
-        for input_node, names in zip(node.inputs, node.input_names):
-            batch = _execute_node(input_node, context)
-            parts.append(
-                Batch(
-                    {
-                        target: batch.columns[source]
-                        for target, source in zip(target_names, names)
-                    },
-                    len(batch),
-                )
-            )
-        merged = Batch.concat(parts)
-        return _distinct(merged) if node.distinct else merged
-    raise PlanError(f"vectorised engine cannot execute {type(node).__name__}")
+def _dispatch_node(node: PlanNode, context: ExecutionContext, top: int | None = None) -> Batch:
+    """Run the node's inputs, then its entry in :data:`OPERATORS`."""
+    operator = OPERATORS.get(type(node))
+    if operator is None:
+        raise PlanError(f"vectorised engine cannot execute {type(node).__name__}")
+    below = node.stop if type(node) is LimitNode else None
+    inputs = [_execute_node(child, context, below) for child in node.children()]
+    return operator(node, inputs, context, top)
+
+
+# --------------------------------------------------------------------------
+# operators: (node, input batches, context, top) -> batch
+# --------------------------------------------------------------------------
+
+
+def _subquery_scan(
+    node: SubqueryScanNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (inner,) = inputs
+    renamed = {f"{node.alias}.{name}": inner.columns[name] for name in node.columns}
+    return Batch(renamed, len(inner))
+
+
+def _filter(
+    node: FilterNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (child,) = inputs
+    return child.filter(np.asarray(evaluate(node.predicate, child, context), dtype=bool))
+
+
+def _project(
+    node: ProjectNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (child,) = inputs
+    columns: dict[str, Column] = {}
+    for expr, name in list(node.items) + list(node.hidden):
+        columns[name] = _operand(expr, child, context)
+    return Batch(columns, len(child))
+
+
+def _sort(
+    node: SortNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (child,) = inputs
+    return child.take(_sort_order(child, node.keys, top))
+
+
+def _limit(
+    node: LimitNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (child,) = inputs
+    stop = len(child) if node.stop is None else min(node.stop, len(child))
+    return child.take(np.arange(node.offset or 0, stop))
+
+
+def _union(
+    node: UnionNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    target_names = node.input_names[0]
+    parts = [
+        Batch(
+            {target: batch.columns[source] for target, source in zip(target_names, names)},
+            len(batch),
+        )
+        for batch, names in zip(inputs, node.input_names)
+    ]
+    merged = Batch.concat(parts)
+    return _distinct(merged) if node.distinct else merged
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +242,9 @@ def _dispatch_node(node: PlanNode, context: ExecutionContext, top: int | None) -
 # --------------------------------------------------------------------------
 
 
-def _execute_scan(node: ScanNode, context: ExecutionContext) -> Batch:
+def _execute_scan(
+    node: ScanNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
     """Scan with per-query memoisation keyed by signature + bound values.
 
     The memo exists for mid-query re-optimization: when a
@@ -759,10 +786,10 @@ def _contains_probe(
 # --------------------------------------------------------------------------
 
 
-def _execute_join(node: JoinNode, context: ExecutionContext) -> Batch:
-    left = _execute_node(node.left, context)
-    right = _execute_node(node.right, context)
-
+def _execute_join(
+    node: JoinNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    left, right = inputs
     joined = _equi_join(left, right, node, context)
     if node.residual is not None:
         mask = np.asarray(evaluate(node.residual, joined, context), dtype=bool)
@@ -848,8 +875,10 @@ def _distinct(batch: Batch) -> Batch:
     return batch.take(np.sort(first_positions))
 
 
-def _execute_aggregate(node: AggregateNode, context: ExecutionContext) -> Batch:
-    child = _execute_node(node.child, context)
+def _execute_aggregate(
+    node: AggregateNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (child,) = inputs
     length = len(child)
 
     group_columns = [_operand(expr, child, context) for expr, _name in node.group]
@@ -966,3 +995,20 @@ def _sort_order(batch: Batch, keys: list[tuple[str, bool]], top: int | None = No
             local = np.argsort(_sort_values(array, ascending), kind="stable")
         order = order[local]
     return order
+
+
+#: the operator table: one function per plan-node type, run by
+#: :func:`_dispatch_node` here and by the functions :mod:`repro.sql.compiler`
+#: generates
+OPERATORS: dict[type, Callable[[Any, list[Batch], ExecutionContext, int | None], Batch]] = {
+    ScanNode: _execute_scan,
+    SubqueryScanNode: _subquery_scan,
+    FilterNode: _filter,
+    JoinNode: _execute_join,
+    AggregateNode: _execute_aggregate,
+    ProjectNode: _project,
+    SortNode: _sort,
+    DistinctNode: lambda node, inputs, context, top: _distinct(inputs[0]),
+    LimitNode: _limit,
+    UnionNode: _union,
+}

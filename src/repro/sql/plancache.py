@@ -17,9 +17,12 @@ of the text feeds which :class:`~repro.sql.ast.Literal` leaf, and how
 query, its plan. Tokens the planner consumes at plan time — ``LIMIT`` /
 ``OFFSET`` counts and ``ORDER BY 2`` ordinals — are *fixed*: each value
 of them gets an entry of its own (:class:`PlanCache`), so a statement
-never binds to a plan made for another LIMIT. :func:`fingerprint`, the
-older key rendered from a parsed statement, remains for callers that
-hold an AST.
+never binds to a plan made for another LIMIT. That text key is the
+request path's only statement identity: :func:`fingerprint`, a key
+rendered from a parsed statement, and :func:`instantiate`, which binds an
+entry to a parsed statement, are called from nowhere in ``repro``; they
+stay because the benchmark harness's frozen workload definitions and
+timing shims name them.
 
 **Binding.** A cached plan references the cached statement's frozen
 literal leaves by identity (the planner rebuilds interior expression
@@ -29,7 +32,7 @@ from those leaves to fresh literals (:meth:`Template.bind`), and
 for DML, of the cached statement: only the spine above each literal
 whose value actually changed is rebuilt, and every untouched subtree —
 the entire plan, when the constants happen to match — is shared with the
-cached entry. :func:`instantiate` does the same for an AST-keyed entry.
+cached entry. :func:`bind_plan` is that step for a plan.
 Sharing is safe because plans are read-only during execution; nothing is
 ever mutated, so any number of executions of one shape may run
 concurrently, each on its own bound copy. :class:`PlanCache` itself is
@@ -71,7 +74,7 @@ DEFAULT_CAPACITY = 128
 
 
 # --------------------------------------------------------------------------
-# fingerprinting
+# the AST key (the benchmark harness's; the request path keys on the text)
 # --------------------------------------------------------------------------
 
 
@@ -194,9 +197,8 @@ def fingerprint(statement: ast.SelectStatement | ast.UnionStatement) -> str:
 
 
 def collect_literals(statement: ast.Statement) -> list[ast.Literal]:
-    """Every patchable literal leaf, in the deterministic traversal order
-    that :func:`fingerprint` renders them — which is text order (ORDER BY
-    ordinals excluded). DML statements have slots too: the values of an
+    """Every patchable literal leaf, in text order (ORDER BY ordinals
+    excluded). DML statements have slots too: the values of an
     ``INSERT``, the assignments and ``WHERE`` of an ``UPDATE``/``DELETE``."""
     slots: list[ast.Literal] = []
 
@@ -357,7 +359,7 @@ class PlanEntry:
     tables: frozenset[str]  # base tables the plan reads
     versions: dict[str, int] = field(default_factory=dict)  # feedback snapshot
     #: ids of the containers between the plan root and each slot literal;
-    #: precomputed so :func:`instantiate` rebuilds only this spine
+    #: precomputed so :func:`bind_plan` rebuilds only this spine
     spine: frozenset[int] | None = None
     #: slot-value fingerprint recorded by ``plancheck.entry_seal`` at
     #: insert; a later mismatch proves the frozen entry was mutated

@@ -5,16 +5,20 @@ the common SQL frontend and the specialised execution engines; the
 "exploit application knowledge" rewrites of Section III surface here as
 scan annotations. **Role in the query path:** stage two of parse → plan
 → execute; :func:`plan_select` consumes the AST from
-:mod:`repro.sql.parser` and hands a :class:`QueryPlan` to one of the
-three engines (:mod:`repro.sql.executor`, :mod:`repro.sql.volcano`,
-:mod:`repro.sql.compiler`). The same plan-node tree is what
+:mod:`repro.sql.parser` and hands a :class:`QueryPlan` to the vectorised
+engine (:mod:`repro.sql.executor`), whose operator table also runs the
+functions :mod:`repro.sql.compiler` generates; the tuple-at-a-time
+:mod:`repro.sql.volcano` shares no operator with them and serves as their
+oracle. The same plan-node tree is what
 ``session.profile(sql)`` annotates with measured rows and wall time
 (see :mod:`repro.obs.profiler`).
 
 The planner performs the classical rule-based rewrites the paper's
 execution engines rely on:
 
-* conjunct splitting and **predicate pushdown** to the owning source,
+* conjunct splitting and **predicate pushdown** to the owning source —
+  except the nullable side of a LEFT JOIN, whose WHERE conjuncts must see
+  the padded rows and so stay above the joins,
 * turning cross joins plus equality predicates into **equi hash joins**,
 * aggregate extraction (group keys and aggregate calls become named
   columns; HAVING and post-aggregate arithmetic are rewritten over them),
@@ -173,6 +177,11 @@ class LimitNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.child]
+
+    @property
+    def stop(self) -> int | None:
+        """How many leading input rows the limit reads (None: all)."""
+        return None if self.limit is None else (self.offset or 0) + self.limit
 
 
 @dataclass
@@ -341,14 +350,17 @@ class _Planner:
         pending_joins: list[ast.JoinClause] = list(statement.joins)
         conjuncts = ast.split_conjuncts(statement.where)
 
-        # 1. push single-source conjuncts down to their source
+        # 1. push single-source conjuncts down to their source — but not
+        # into the nullable side of a LEFT JOIN: there a conjunct must see
+        # the padded rows, so it stays above the joins
         remaining: list[ast.Expr] = []
         pushed: dict[str, list[ast.Expr]] = {alias: [] for alias in source_order}
         for clause in pending_joins:
             pushed[clause.table.alias] = []
+        nullable = {clause.table.alias for clause in pending_joins if clause.kind == "left"}
         for conjunct in conjuncts:
             aliases = self._aliases_of(conjunct, statement)
-            if len(aliases) == 1:
+            if len(aliases) == 1 and not aliases & nullable:
                 pushed.setdefault(next(iter(aliases)), []).append(conjunct)
             else:
                 remaining.append(conjunct)

@@ -75,6 +75,28 @@ def entry_of(sql, database):
     )
 
 
+def rebound(entry, sql):
+    """What a cache hit with ``sql``'s literals runs: the entry's plan with
+    ``sql``'s values bound, and the statement they bind to."""
+    mapping = entry.template.bind(shape(sql)[1])
+    return plancache.bind_plan(entry, mapping), entry.template.statement_for(mapping)
+
+
+def templated_entry_of(sql, database):
+    """An entry keyed by text, as ``Database.execute`` makes it: the
+    parse is also the entry's template."""
+    sources = []
+    statement = parse(sql, sources)
+    slots = plancache.collect_literals(statement)
+    plan = plan_select(statement, database.catalog)
+    return plancache.PlanEntry(
+        plan=plan,
+        slots=slots,
+        tables=plancache.plan_tables(plan.root),
+        template=plancache.record_template(statement, slots, sources, shape(sql)[1]),
+    )
+
+
 # -- healthy plans pass -------------------------------------------------------------
 
 
@@ -234,11 +256,10 @@ def test_unreachable_slot_is_rejected(database):
 
 
 def test_seal_detects_in_place_slot_mutation(database):
-    entry, _statement, _plan = entry_of("SELECT a FROM t WHERE b > 7", database)
+    entry = templated_entry_of("SELECT a FROM t WHERE b > 7", database)
     entry.seal = entry_seal(entry)
     object.__setattr__(entry.slots[0], "value", 42)
-    fresh_statement = parse("SELECT a FROM t WHERE b > 8")
-    bound = plancache.instantiate(entry, fresh_statement)
+    bound, fresh_statement = rebound(entry, "SELECT a FROM t WHERE b > 8")
     findings = verify_binding(entry, bound, fresh_statement)
     assert any("mutated in place" in f.message for f in findings)
 
@@ -266,10 +287,10 @@ def test_binding_that_shares_spine_containers_is_rejected(database):
 
 
 def test_honest_substitution_copy_verifies_clean(database):
-    entry, _statement, _plan = entry_of("SELECT a FROM t WHERE b > 7", database)
+    entry = templated_entry_of("SELECT a FROM t WHERE b > 7", database)
     entry.seal = entry_seal(entry)
-    fresh_statement = parse("SELECT a FROM t WHERE b > 8")
-    bound = plancache.instantiate(entry, fresh_statement)
+    bound, fresh_statement = rebound(entry, "SELECT a FROM t WHERE b > 8")
+    assert bound is not entry.plan
     assert verify_binding(entry, bound, fresh_statement) == []
 
 

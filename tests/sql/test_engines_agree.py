@@ -2,7 +2,9 @@
 
 This is the correctness backbone of experiment E6: the compiled and the
 tuple-at-a-time engines are only meaningful baselines if they agree with
-the vectorised engine on every supported query shape — and, since the
+the vectorised engine on every query shape — the compiled function runs
+the vectorised operators, so it must return the same rows in the same
+order; Volcano shares no operator with them — and, since the
 vectorised engine filters on value ids and groups/joins on codes, in every
 storage state its code branches on (the ``stored`` fixture): rows in the
 delta only, in the main only, in both with updated and deleted versions
@@ -12,6 +14,7 @@ range-partitioned tables.
 
 import math
 import random
+import re
 
 import pytest
 
@@ -19,7 +22,8 @@ from repro.columnstore.partition import HashPartitioning, RangePartitioning
 from repro.core import types as dt
 from repro.core.database import Database
 from repro.core.schema import ColumnSpec, TableSchema
-from repro.sql.compiler import CompileError, compile_plan
+from repro.sql.compiler import compile_plan, plan_nodes
+from repro.sql.executor import execute as execute_plan
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
 from repro.sql.volcano import execute_volcano
@@ -184,11 +188,16 @@ STORED_QUERIES = [(sql, True) for sql in QUERIES] + [
     ("SELECT c.tier, COUNT(*) FROM cust c JOIN li l ON c.cid = l.cust GROUP BY c.tier", True),
     ("SELECT a.cid, b.cid FROM cust a JOIN cust b ON a.tier = b.tier WHERE a.cid < 'c3'", True),
     ("SELECT id, MAX(qty), MIN(id) FROM li WHERE id > 9000 GROUP BY id", True),
+    # NOT BETWEEN over a NULL operand (price and qty each hold one NULL)
+    ("SELECT id FROM li WHERE price NOT BETWEEN 5 AND 95 ORDER BY id", True),
+    ("SELECT COUNT(*) FROM li WHERE qty NOT BETWEEN 2 AND 8", True),
+    # a derived table, a UNION, and a WHERE over a LEFT JOIN's nullable side
+    ("SELECT x.region, COUNT(*) FROM (SELECT region, qty FROM li WHERE qty > 4) x "
+     "GROUP BY x.region ORDER BY x.region", True),
+    ("SELECT cust FROM li WHERE id < 5 UNION SELECT cid FROM cust WHERE tier = 'tier1'", False),
+    ("SELECT l.id, c.tier FROM li l LEFT JOIN cust c ON l.cust = c.cid "
+     "WHERE c.cid IS NULL", False),
 ]
-
-#: the compiled engine lets a NULL operand pass NOT IN (an open compiler
-#: defect, left alone: the oracles stay independent of this engine)
-COMPILER_DIVERGES = {"SELECT COUNT(*) FROM li WHERE cust NOT IN ('nobody', 'c4')"}
 
 BIGINT_QUERY = "SELECT g, MAX(k), MIN(k) FROM big GROUP BY g"
 
@@ -214,13 +223,11 @@ def assert_engines_agree(database, sql, ordered=True):
     vectorised = normalise(database.query(sql).rows, ordered)
     volcano = normalise(execute_volcano(plan, database._context(None, None)), ordered)
     assert volcano == vectorised
-    if sql in COMPILER_DIVERGES:
-        return
-    try:
-        compiled = compile_plan(plan, database._context(None, None))
-    except CompileError:
-        return  # plan shape outside the compiler subset: acceptable
-    assert normalise(compiled.run(database._context(None, None)), ordered) == vectorised
+    # the compiled function runs the vectorised operators: same plan, same
+    # rows in the same order
+    compiled = compile_plan(plan).run(database._context(None, None))
+    assert normalise(compiled) == normalise(execute_plan(plan, database._context(None, None)).rows())
+    assert normalise(compiled, ordered) == vectorised
 
 
 @pytest.mark.parametrize("sql", QUERIES)
@@ -248,16 +255,20 @@ def test_integer_min_max_beyond_float_precision(merged):
     assert_engines_agree(database, BIGINT_QUERY)
 
 
-def test_compiler_rejects_subqueries(db):
+def test_compiled_source_is_one_operator_call_per_plan_node(db):
     plan = plan_select(
-        parse("SELECT x.region FROM (SELECT region FROM li) x"), db.catalog
+        parse(
+            "SELECT x.region, COUNT(*) FROM (SELECT region FROM li WHERE qty > 3) x "
+            "GROUP BY x.region ORDER BY x.region LIMIT 2"
+        ),
+        db.catalog,
     )
-    with pytest.raises(CompileError):
-        compile_plan(plan, db._context(None, None))
-
-
-def test_compiled_source_is_inspectable(db):
-    plan = plan_select(parse("SELECT COUNT(*) FROM li WHERE qty > 3"), db.catalog)
-    compiled = compile_plan(plan, db._context(None, None))
-    assert "def _compiled" in compiled.source
-    assert "continue" in compiled.source  # the inlined filter
+    source = compile_plan(plan).source
+    calls = re.findall(r"= (\w+)\(nodes\[(\d+)\]", source)
+    nodes = plan_nodes(plan.root)
+    assert len(nodes) == 7  # scan, project, subquery scan, aggregate, project, sort, limit
+    assert calls == [
+        (type(node).__name__.removesuffix("Node"), str(index))
+        for index, node in enumerate(nodes)
+    ]
+    assert "for " not in source and "while " not in source

@@ -1,7 +1,7 @@
-"""Plan cache correctness: fingerprints, binding, invalidation, eviction.
+"""Plan cache correctness: shape keys, binding, invalidation, eviction.
 
-The cache (:mod:`repro.sql.plancache`, docs/OPTIMIZER.md) keys plans on a
-query-*shape* fingerprint with literals stripped, so repeated traffic that
+The cache (:mod:`repro.sql.plancache`, docs/OPTIMIZER.md) keys plans on the
+statement's text *shape* with literals stripped, so repeated traffic that
 differs only in constants skips planning. These tests pin the contract:
 a hit must produce exactly the rows a fresh plan would, and every event
 that could make a cached plan wrong (DDL, delta merge, significant
@@ -19,6 +19,7 @@ import pytest
 from repro.core.database import Database
 from repro.sql import plancache
 from repro.sql.feedback import CardinalityFeedback
+from repro.sql.lexer import shape
 from repro.sql.parser import parse
 
 
@@ -90,6 +91,44 @@ class TestFingerprint:
         )
         bound = plancache.instantiate(entry, parse("SELECT a FROM t WHERE a = 99"))
         assert bound is not None and bound is not plan
+        assert [slot.value for slot in entry.slots] == [1]  # original untouched
+
+
+class TestShapeKey:
+    """``TestFingerprint``'s cases for the key the request path uses, the
+    text shape (:func:`repro.sql.lexer.shape`) plus the cache's
+    fixed-token variants. Two more are in ``test_shape_cache.py``:
+    different literals share one entry
+    (``test_same_shape_texts_share_one_entry``), and ORDER BY ordinals,
+    LIMIT and OFFSET keep an entry per value
+    (``test_each_limit_offset_and_ordinal_keeps_its_own_entry``)."""
+
+    def test_structure_changes_the_key(self):
+        base = shape("SELECT id FROM t WHERE a = 1")[0]
+        assert base != shape("SELECT id FROM t WHERE a > 1")[0]
+        assert base != shape("SELECT id FROM u WHERE a = 1")[0]
+        assert base != shape("SELECT id, a FROM t WHERE a = 1")[0]
+
+    def test_union_key_distinguishes_all(self):
+        assert shape("SELECT a FROM t UNION SELECT a FROM u")[0] != shape(
+            "SELECT a FROM t UNION ALL SELECT a FROM u"
+        )[0]
+
+    def test_boolean_order_keys_are_keywords_of_the_key(self):
+        # TRUE/FALSE are keywords, not literal tokens: each keeps its own key
+        assert shape("SELECT a FROM t ORDER BY TRUE") == ("SELECT a FROM t ORDER BY TRUE", [])
+        assert shape("SELECT a FROM t ORDER BY FALSE")[0] != shape(
+            "SELECT a FROM t ORDER BY TRUE"
+        )[0]
+
+    def test_bind_plan_never_mutates_the_cached_entry(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute("SELECT a FROM t WHERE a = 1")
+        key, values = shape("SELECT a FROM t WHERE a = 1")
+        entry = db.plan_cache.get(key, None, values)
+        bound = plancache.bind_plan(entry, entry.template.bind(shape("SELECT a FROM t WHERE a = 99")[1]))
+        assert bound is not entry.plan
         assert [slot.value for slot in entry.slots] == [1]  # original untouched
 
 

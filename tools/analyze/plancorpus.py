@@ -2,10 +2,13 @@
 
 Breadth gate for :mod:`repro.analysis.plancheck`: a seeded query
 generator (:mod:`repro.workloads.querygen`) produces a few hundred
-query shapes over the synthetic ERP schema; every one is planned, the
-plan is verified, the would-be cache entry is verified, and — when a
-literal-perturbed variant of the query hits the same fingerprint — the
-cache-hit binding is verified too. Any finding is a build failure.
+query shapes over the synthetic ERP schema. Each one, and a variant of it
+with other literals (``querygen.perturb_literals``), goes through
+``Database.execute`` under :func:`repro.analysis.plancheck.active` — the
+request path itself, keyed on the text shape
+(:func:`repro.sql.lexer.shape`) — so every plan, every cache entry and
+every cache-hit binding it makes is verified. Any finding is a build
+failure.
 
 This runs the *runtime* verifier from the *static* lint driver so one
 command (`python -m tools.analyze --plan-corpus src`) gates both
@@ -22,7 +25,8 @@ _SRC = _REPO_ROOT / "src"
 
 
 def run_plan_corpus(count: int = 300, seed: int = 0) -> int:
-    """Plan, cache, rebind, and verify ``count`` generated queries.
+    """Execute ``count`` generated queries and their perturbed variants
+    with plancheck on.
 
     Returns a process exit code: 0 when the whole corpus verifies clean.
     """
@@ -31,64 +35,41 @@ def run_plan_corpus(count: int = 300, seed: int = 0) -> int:
 
     from repro.analysis import plancheck
     from repro.core.database import Database
-    from repro.errors import PlanError
-    from repro.sql import ast, plancache
-    from repro.sql.parser import parse
-    from repro.sql.planner import plan_select
     from repro.workloads import querygen
 
     database = Database()
     for statement in querygen.ddl():
         database.execute(statement)
 
-    failures = 0
-    plans = entries = bindings = skipped = 0
-    for index, sql in enumerate(querygen.generate_queries(count, seed=seed)):
-        statement = parse(sql)
-        plan = plan_select(statement, database.catalog, feedback=database.feedback)
-        findings = plancheck.verify_plan(plan, database.catalog)
-        plans += 1
+    failures = bindings = shifted = 0
 
-        key = plancache.fingerprint(statement)
-        entry = plancache.PlanEntry(
-            plan=plan,
-            slots=plancache.collect_literals(statement),
-            tables=plancache.plan_tables(plan.root),
-            versions=database.feedback.versions(plancache.plan_tables(plan.root)),
-        )
-        entry_findings = plancheck.verify_entry(entry, statement, database.catalog)
-        entries += 1
-        # `SELECT x+1 ... ORDER BY x+1` legitimately produces an entry the
-        # cache must refuse (the order-by literal is planned away); that
-        # refusal is the verifier working, not a corpus failure — but any
-        # schema/estimate/charge finding is.
-        hard = findings + [f for f in entry_findings if f.check != "cache"]
-        cacheable = not entry_findings
-
-        if cacheable:
-            entry.seal = plancheck.entry_seal(entry)
-            perturbed_sql = querygen.perturb_literals(sql, seed=seed + index)
-            try:
-                perturbed = parse(perturbed_sql)
-            except PlanError:
-                perturbed = None
-            if perturbed is not None and plancache.fingerprint(perturbed) == key:
-                bound = plancache.instantiate(entry, perturbed)
-                if bound is not None:
-                    hard += plancheck.verify_binding(entry, bound, perturbed)
-                    bindings += 1
-            else:
-                skipped += 1
-
-        if hard:
-            failures += len(hard)
-            print(f"FAIL [{index}] {sql}")
-            for finding in hard:
+    def execute(index: int, text: str) -> None:
+        nonlocal failures
+        try:
+            database.execute(text)
+        except plancheck.PlanCheckError as error:
+            failures += len(error.findings)
+            print(f"FAIL [{index}] {text}")
+            for finding in error.findings:
                 print(f"    {finding}")
 
+    with plancheck.active():
+        for index, sql in enumerate(querygen.generate_queries(count, seed=seed)):
+            # the first run records the shape's first feedback samples, so
+            # the second re-plans it; the variant then hits the cached plan
+            # unless its LIMIT/OFFSET (a fixed token) moved
+            execute(index, sql)
+            execute(index, sql)
+            hits = database.plan_cache.stats()["hits"]
+            execute(index, querygen.perturb_literals(sql, seed=seed + index))
+            if database.plan_cache.stats()["hits"] > hits:
+                bindings += 1
+            else:
+                shifted += 1
+
     print(
-        f"plan corpus: {plans} plans, {entries} entries, {bindings} bindings "
-        f"verified ({skipped} perturbations shifted fingerprint), "
+        f"plan corpus: {count} queries and their variants executed, {bindings} "
+        f"cache-hit bindings verified ({shifted} variants planned afresh), "
         f"{failures} finding(s)"
     )
     return 1 if failures else 0
