@@ -77,14 +77,12 @@ def move_rows_to_aged(
         try:
             for ordinal, positions in positions_by_ordinal.items():
                 partition = table.partitions[ordinal]
-                if partition is aged:
+                if partition is aged or not len(positions):
                     continue
-                rows = partition.rows_at(positions)
-                for position, row in zip(positions, rows):
-                    partition.mark_deleted(int(position), txn)
-                    new_position = aged.insert_row(row, txn)
-                    _unused = new_position
-                    moved += 1
+                columns = partition.columns_at(positions)
+                partition.mark_deleted(positions, txn)
+                aged.append_columns(columns, txn)
+                moved += len(positions)
         except Exception:
             obs.count("aging.tiering_rollbacks")
             database.rollback(txn)

@@ -251,24 +251,33 @@ class DeltaColumn:
         write path (``append``/``extend``) has no maintenance hook. NULLs
         are not indexed: NULL equals nothing.
         """
-        index, values = self._positions, self.values
-        if self._indexed < len(values):
-            for position in range(self._indexed, len(values)):
-                held = values[position]
-                if held is None:
-                    continue
-                seen = index.get(held)
-                if seen is None:
-                    index[held] = position
-                elif type(seen) is int:
-                    index[held] = [seen, position]
-                else:
-                    seen.append(position)
-            self._indexed = len(values)
-        found = index.get(value)
+        if self._indexed < len(self.values):
+            self._catch_up()
+        found = self._positions.get(value)
         if found is None:
             return []
         return [found] if type(found) is int else found
+
+    def holding(self, values: Iterable[Any]) -> set[Any]:
+        """Those of ``values`` some row holds, through the same index."""
+        if self._indexed < len(self.values):
+            self._catch_up()
+        return self._positions.keys() & values
+
+    def _catch_up(self) -> None:
+        index, values = self._positions, self.values
+        for position in range(self._indexed, len(values)):
+            held = values[position]
+            if held is None:
+                continue
+            seen = index.get(held)
+            if seen is None:
+                index[held] = position
+            elif type(seen) is int:
+                index[held] = [seen, position]
+            else:
+                seen.append(position)
+        self._indexed = len(values)
 
     def memory_bytes(self) -> int:
         """Approximate footprint (uncompressed, as in a real delta)."""

@@ -3,22 +3,28 @@
 Figure 2 of the paper shows "Column / Row" under the in-memory store: HANA
 keeps a row engine beside the column engine. In this reproduction the row
 store mainly serves benchmark E2 (column vs. row analytics) and internal
-bookkeeping tables; it shares the MVCC machinery with the column store.
+bookkeeping tables. It shares the column store's MVCC stamps
+(:class:`~repro.columnstore.table.RowVersions`) and its one write path
+(:class:`~repro.columnstore.table.Table`): a row table is its own single
+partition, ordinal 0, and every statement is one set, written with one
+stamp slot per kind and logged as one ``insert_many`` / ``delete_many``
+redo record. Its primary key is declared only, never enforced.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.columnstore.table import RowVersions, Table
 from repro.core.schema import TableSchema
 from repro.transaction.manager import Transaction
-from repro.transaction.mvcc import INF_CID, visible_mask
+from repro.transaction.mvcc import visible_mask
 from repro.util.arrays import GrowableInt64
 
 
-class RowTable:
+class RowTable(RowVersions, Table):
     """Row-oriented MVCC table: a list of tuples plus stamp vectors."""
 
     def __init__(self, name: str, schema: TableSchema) -> None:
@@ -31,38 +37,29 @@ class RowTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    # -- writes ---------------------------------------------------------------
+    @property
+    def partitions(self) -> Sequence["RowTable"]:
+        return (self,)
 
-    def insert(self, row: Sequence[Any] | Mapping[str, Any], txn: Transaction) -> int:
-        """Append one row; returns its position."""
-        values = self.schema.coerce_row(row)
-        self.rows.append(values)
-        position = self.created.append(txn.stamp)
-        self.deleted.append(INF_CID)
-        txn.record_insert(self.created, position)
-        return position
-
-    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]], txn: Transaction) -> int:
-        count = 0
-        for row in rows:
-            self.insert(row, txn)
-            count += 1
-        return count
-
-    def delete_at(self, position: int, txn: Transaction) -> None:
-        """Delete a row version (same conflict rule as the column store)."""
-        from repro.errors import WriteConflictError
-
-        if self.deleted[position] != INF_CID:
-            raise WriteConflictError(f"row {position} already deleted or locked")
-        self.deleted[position] = txn.stamp
-        txn.record_delete(self.deleted, position)
+    def append_columns(self, columns: Sequence[list[Any]], txn: Transaction) -> int:
+        """Append coerced rows, given column-major; returns the first one's position."""
+        self.rows.extend(map(list, zip(*columns)))
+        return self.stamp_appended(len(columns[0]), txn)
 
     # -- reads ----------------------------------------------------------------
 
     def visible_positions(self, snapshot_cid: int, own_tid: int = 0) -> np.ndarray:
         mask = visible_mask(self.created.view(), self.deleted.view(), snapshot_cid, own_tid)
         return np.flatnonzero(mask)
+
+    def rows_at(self, positions: np.ndarray) -> list[list[Any]]:
+        """The rows at ``positions``."""
+        return [self.rows[position] for position in positions.tolist()]
+
+    def columns_at(self, positions: np.ndarray) -> list[list[Any]]:
+        """The rows at ``positions``, column-major in schema order."""
+        rows = self.rows_at(positions)
+        return [list(values) for values in zip(*rows)] if rows else [[] for _ in self.schema.columns]
 
     def scan(self, snapshot_cid: int, own_tid: int = 0) -> list[list[Any]]:
         """All visible rows — a full row-at-a-time scan."""

@@ -8,7 +8,8 @@ all operate on. Each horizontal partition pairs
 * two MVCC stamp vectors (``created`` / ``deleted``) spanning main+delta.
 
 Writes are append-only: an UPDATE is a delete of the old version plus an
-insert of the new one; the delta merge (:mod:`repro.columnstore.merge`)
+insert of the new one, and every statement is one set operation on the
+table (:meth:`Table._write`); the delta merge (:mod:`repro.columnstore.merge`)
 compacts committed state into a fresh main fragment.
 
 **Access paths.** A table whose schema declares a single-column primary
@@ -19,7 +20,7 @@ lazily built index the fragment owns — see :mod:`repro.columnstore.column`
 for why nothing invalidates them). MVCC keeps several versions of a key, so
 the answer is every version's position and visibility is checked on just
 those: :meth:`TablePartition.key_positions` for readers and UPDATE/DELETE,
-:meth:`ColumnTable.insert` to *enforce* the key.
+:meth:`ColumnTable._check_keys` to *enforce* the key.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.errors import (
     ColumnNotFoundError,
     DuplicateKeyError,
     SchemaError,
-    StorageError,
     WriteConflictError,
 )
 from repro.transaction.manager import Transaction
@@ -51,7 +51,45 @@ EVENT_DELETE = "delete"
 ChangeListener = Callable[[str, "TablePartition", list[int], list[list[Any]]], None]
 
 
-class TablePartition:
+class RowVersions:
+    """The MVCC stamps of a store's row versions — one ``created`` and one
+    ``deleted`` stamp per row — and the writes on them. Each column-table
+    partition and each row table is one."""
+
+    name: str
+    created: GrowableInt64
+    deleted: GrowableInt64
+
+    def require_undeleted(self, positions: int | np.ndarray) -> None:
+        """First writer wins: refuse versions someone has deleted already."""
+        taken = self.deleted.view()[positions] != INF_CID
+        if np.logical_or.reduce(taken, axis=None):
+            position = np.atleast_1d(positions)[np.atleast_1d(taken)][0]
+            raise WriteConflictError(
+                f"row {position} of {self.name!r} is already deleted or locked by another transaction"
+            )
+
+    def mark_deleted(self, positions: int | np.ndarray, txn: Transaction) -> None:
+        """Delete row versions — one position or an index array — with one
+        stamp slot, first writer wins."""
+        self._touch()
+        self.require_undeleted(positions)
+        self.deleted[positions] = txn.stamp
+        txn.record_delete(self.deleted, positions)
+
+    def stamp_appended(self, count: int, txn: Transaction) -> int:
+        """Stamp ``count`` rows just appended as ``txn``'s, with one slot;
+        returns the first one's position."""
+        start = self.created.fill(txn.stamp, count)
+        self.deleted.fill(INF_CID, count)
+        txn.record_insert(self.created, slice(start, start + count))
+        return start
+
+    def _touch(self) -> None:
+        """Called before a read or write of the rows (tiering's hook)."""
+
+
+class TablePartition(RowVersions):
     """One horizontal partition: fragments + MVCC stamps."""
 
     def __init__(
@@ -119,44 +157,15 @@ class TablePartition:
 
     # -- writes ---------------------------------------------------------------
 
-    def insert_row(self, values: Sequence[Any], txn: Transaction) -> int:
-        """Append one coerced row to the delta; returns its position."""
-        self._touch()
-        # ``delta`` is in schema order: built from it, and add_column appends to both
-        for column, value in zip(self.delta.values(), values):
-            column.append(value)
-        position = self.created.append(txn.stamp)
-        self.deleted.append(INF_CID)
-        txn.record_insert(self.created, position)
-        return position
-
     def append_columns(self, columns: Sequence[list[Any]], txn: Transaction) -> int:
         """Append a batch of coerced rows, given column-major in schema
         order, to the delta; returns the first row's position. One
         ``extend`` per column, and one stamp slot for the batch."""
         self._touch()
+        # ``delta`` is in schema order: built from it, and add_column appends to both
         for column, values in zip(self.delta.values(), columns):
             column.extend(values)
-        start, count = len(self.created), len(columns[0])
-        self.created.extend(np.full(count, txn.stamp, dtype=np.int64))
-        self.deleted.extend(np.full(count, INF_CID, dtype=np.int64))
-        txn.record_insert_range(self.created, start, start + count)
-        return start
-
-    def require_undeleted(self, position: int) -> None:
-        """First writer wins: refuse a version someone has deleted already."""
-        if self.deleted[position] != INF_CID:
-            raise WriteConflictError(
-                f"row {position} of partition {self.name!r} is already "
-                f"deleted or locked by another transaction"
-            )
-
-    def mark_deleted(self, position: int, txn: Transaction) -> None:
-        """Delete a row version (first-writer-wins conflict detection)."""
-        self._touch()
-        self.require_undeleted(position)
-        self.deleted[position] = txn.stamp
-        txn.record_delete(self.deleted, position)
+        return self.stamp_appended(len(columns[0]), txn)
 
     # -- reads ----------------------------------------------------------------
 
@@ -165,11 +174,6 @@ class TablePartition:
         self._touch()
         mask = visible_mask(self.created.view(), self.deleted.view(), snapshot_cid, own_tid)
         return np.flatnonzero(mask)
-
-    def visible_row_mask(self, snapshot_cid: int, own_tid: int = 0) -> np.ndarray:
-        """Boolean visibility mask over all positions."""
-        self._touch()
-        return visible_mask(self.created.view(), self.deleted.view(), snapshot_cid, own_tid)
 
     def key_versions(self, value: Any) -> np.ndarray:
         """Ascending positions of *every* row version — visible or not —
@@ -187,14 +191,13 @@ class TablePartition:
     def held_keys(self, values: Sequence[Any]) -> set[Any]:
         """Those of the non-NULL ``values`` that some row version holds as
         its primary key: one membership test against the key column's
-        dictionary and one against its delta — a superset when the
+        dictionary and one against its delta's index — a superset when the
         dictionary keeps a value no row holds any more."""
         self._touch()
         key = self.schema.key_column
         in_main = np.flatnonzero(self.main[key].dictionary.vids_of(values) != NULL_VID)
         held = {values[index] for index in in_main.tolist()}
-        held.update(set(values).intersection(self.delta[key].values))
-        return held
+        return held | self.delta[key].holding(values)
 
     def key_positions(
         self, values: Sequence[Any], snapshot_cid: int, own_tid: int = 0
@@ -230,32 +233,29 @@ class TablePartition:
         return np.concatenate([main, delta])
 
     def values_at(self, name: str, positions: np.ndarray) -> list[Any]:
-        """Exact Python values of a column at the given positions."""
+        """Exact Python values of a column at the given (ascending) positions."""
+        return self.columns_at(positions, (name,))[0]
+
+    def columns_at(self, positions: np.ndarray, columns: Sequence[str] | None = None) -> list[list[Any]]:
+        """Exact values at the given (ascending) positions, column-major —
+        schema order unless ``columns`` names others. The positions are
+        split between the two fragments once for all columns."""
         self._touch()
-        key = name.lower()
-        if key not in self.main:
-            raise ColumnNotFoundError(self.name, name)
         positions = np.asarray(positions, dtype=np.int64)
-        n_main = self.n_main
-        out: list[Any] = [None] * len(positions)
-        in_main = positions < n_main
-        main_positions = positions[in_main]
-        if len(main_positions):
-            decoded = self.main[key].values_at(main_positions)
-            for slot, value in zip(np.flatnonzero(in_main), decoded):
-                out[slot] = value
-        delta_positions = positions[~in_main] - n_main
-        if len(delta_positions):
-            decoded = self.delta[key].values_at(delta_positions)
-            for slot, value in zip(np.flatnonzero(~in_main), decoded):
-                out[slot] = value
+        in_main = positions < self.n_main
+        main, delta = positions[in_main], positions[~in_main] - self.n_main
+        out = []
+        for name in self.schema.column_names if columns is None else columns:
+            key = name.lower()
+            if key not in self.main:
+                raise ColumnNotFoundError(self.name, name)
+            values = self.main[key].values_at(main) if len(main) else []
+            out.append(values + self.delta[key].values_at(delta) if len(delta) else values)
         return out
 
     def rows_at(self, positions: np.ndarray, columns: Sequence[str] | None = None) -> list[list[Any]]:
-        """Materialise full rows (exact values) at the given positions."""
-        names = list(columns) if columns is not None else self.schema.column_names
-        per_column = [self.values_at(name, positions) for name in names]
-        return [list(row) for row in zip(*per_column)] if per_column and len(positions) else []
+        """Materialise full rows (exact values) at the given (ascending) positions."""
+        return list(map(list, zip(*self.columns_at(positions, columns))))
 
     # -- stats / tiering --------------------------------------------------------
 
@@ -275,8 +275,174 @@ class TablePartition:
                 reload_partition(self)
 
 
-class ColumnTable:
-    """A named, partitioned, MVCC-versioned column-store table."""
+#: rows given column-major: one list of values per column, in schema order
+Columns = list[list[Any]]
+#: a batch's rows by partition: ``(ordinal, the slice of the batch in it)``
+Runs = Sequence[tuple[int, slice]]
+
+
+def _runs(ordinal: int | np.ndarray, count: int) -> Runs:
+    """The :data:`Runs` of a batch of ``count`` rows: ``ordinal`` is one
+    partition's for them all, or an array parallel to them, grouped."""
+    if isinstance(ordinal, (int, np.integer)):
+        return [(int(ordinal), slice(0, count))]
+    bounds = [0, *(np.flatnonzero(np.diff(ordinal)) + 1).tolist(), count]
+    return [(int(ordinal[start]), slice(start, stop)) for start, stop in zip(bounds, bounds[1:])]
+
+
+class Table:
+    """The write path of both stores. A table keeps its row versions in
+    ``partitions`` — a row table is its own only one — and each statement
+    is one set operation on them, :meth:`_write`.
+
+    Rows are addressed as ``(ordinal, position)``: one partition ordinal
+    and one position, or ascending positions with the ordinal of them all
+    or an ordinal array parallel to them (grouped, as :meth:`gather` and
+    the SQL layer give them).
+    """
+
+    name: str
+    schema: TableSchema
+    partitions: Sequence[Any]
+    partitioning: PartitionSpec = SinglePartition()
+    _listeners: Sequence[ChangeListener] = ()
+
+    def insert(self, row: Sequence[Any] | Mapping[str, Any], txn: Transaction) -> tuple[int, int]:
+        """Insert one row — :meth:`insert_many` of one; returns its
+        ``(ordinal, position)``."""
+        return self._write(txn, new=self.schema.coerce_columns([row]))[0]
+
+    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]], txn: Transaction) -> int:
+        """Insert rows, coerced a column at a time, as one set; returns the count."""
+        columns = self.schema.coerce_columns(rows)
+        count = len(columns[0]) if columns else 0
+        if count:
+            self._write(txn, new=columns)
+        return count
+
+    def delete_at(
+        self, ordinal: int | np.ndarray, position: int | np.ndarray, txn: Transaction, old: Columns | None = None
+    ) -> None:
+        """Delete the row versions at ``(ordinal, position)``; ``old`` is
+        their values when the caller has read them already."""
+        positions = np.asarray(position, dtype=np.int64).reshape(-1)
+        self._write(txn, _runs(ordinal, len(positions)), positions, old or self.gather(ordinal, positions))
+
+    def update_at(
+        self,
+        ordinal: int | np.ndarray,
+        position: int | np.ndarray,
+        changes: Mapping[str, Any],
+        txn: Transaction,
+        old: Columns | None = None,
+    ) -> None:
+        """Delete the versions at ``(ordinal, position)`` and insert them with
+        ``changes`` applied: column name → new values parallel to the
+        positions (a value, for one position)."""
+        positions = np.asarray(position, dtype=np.int64).reshape(-1)
+        old = old or self.gather(ordinal, positions)
+        single = isinstance(position, (int, np.integer))
+        new = list(old)
+        for name, values in changes.items():
+            index = self.schema.position(name)
+            new[index] = self.schema.columns[index].coerce_many([values] if single else list(values))
+        self._write(txn, _runs(ordinal, len(positions)), positions, old, new)
+
+    def gather(self, ordinal: int | np.ndarray, positions: np.ndarray) -> Columns:
+        """Exact values of the rows at ``(ordinal, positions)``: the one
+        read of the rows a statement rewrites."""
+        runs = _runs(ordinal, len(positions))
+        shares = [self.partitions[ordinal].columns_at(positions[rows]) for ordinal, rows in runs]
+        return [[value for share in parts for value in share] for parts in zip(*shares)]
+
+    def _write(
+        self,
+        txn: Transaction,
+        runs: Runs = (),
+        positions: np.ndarray | None = None,
+        old: Columns | None = None,
+        new: Columns | None = None,
+    ) -> list[tuple[int, int]]:
+        """The one write path: delete the versions at ``positions`` (``old``
+        their values) and insert the coerced rows ``new``, as one set;
+        returns ``(ordinal, first position)`` per partition ``new`` went to.
+
+        The whole set is checked before anything is written — first writer
+        wins on every version it deletes, and :meth:`_check_keys` judges
+        its keys — so a refused statement writes nothing. Then each
+        partition's deletes take one stamp slot, its inserts one ``extend``
+        per column and another slot, each share one ``delete_many`` /
+        ``insert_many`` redo record, and one commit hook announces it all.
+        """
+        for ordinal, rows in runs:
+            self.partitions[ordinal].require_undeleted(positions[rows])
+        if new is not None:
+            self._check_keys(new, old, runs, positions, txn)
+        changes = []
+        for ordinal, rows in runs:
+            partition = self.partitions[ordinal]
+            partition.mark_deleted(positions[rows], txn)
+            changes.append((EVENT_DELETE, partition, positions[rows], [values[rows] for values in old]))
+        placed = []
+        for ordinal, columns in self._route(new) if new is not None else ():
+            partition = self.partitions[ordinal]
+            start = partition.append_columns(columns, txn)
+            changes.append((EVENT_INSERT, partition, range(start, start + len(columns[0])), columns))
+            placed.append((ordinal, start))
+        for event, _partition, _positions, columns in changes:
+            txn.log_redo({"op": f"{event}_many", "table": self.name, "columns": columns})
+        txn.on_commit(lambda _cid: self._announce(changes))
+        return placed
+
+    def _check_keys(
+        self, new: Columns, old: Columns | None, runs: Runs, positions: np.ndarray | None, txn: Transaction
+    ) -> None:
+        """Refuse a set the table's constraints forbid — none here: a row
+        table's primary key is declared only."""
+
+    def _route(self, columns: Columns) -> list[tuple[int, Columns]]:
+        """The rows ``columns`` holds, split by the partition each routes to."""
+        if isinstance(self.partitioning, SinglePartition):
+            return [(0, columns)]
+        shares: dict[int, list[int]] = {}
+        for index, row in enumerate(zip(*columns)):
+            shares.setdefault(self.partitioning.route(row, self.schema), []).append(index)
+        return [(o, [[values[i] for i in rows] for values in columns]) for o, rows in sorted(shares.items())]
+
+    def locate(self, columns: Columns, snapshot_cid: int, own_tid: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(ordinals, positions)`` of visible versions equal to the coerced
+        rows ``columns`` holds, one per row found: redo replay identifies
+        the versions a logged delete removed by their full rows."""
+        wanted = list(map(list, zip(*columns)))
+        ordinals: list[int] = []
+        found: list[int] = []
+        for ordinal, partition in enumerate(self.partitions):
+            positions = self._candidates(partition, columns, snapshot_cid, own_tid)
+            for position, row in zip(positions.tolist(), partition.rows_at(positions)):
+                if row in wanted:
+                    wanted.remove(row)
+                    ordinals.append(ordinal)
+                    found.append(position)
+        return np.asarray(ordinals, dtype=np.int64), np.asarray(found, dtype=np.int64)
+
+    def _candidates(self, partition: Any, columns: Columns, snapshot_cid: int, own_tid: int) -> np.ndarray:
+        """The positions of a partition :meth:`locate` compares."""
+        return partition.visible_positions(snapshot_cid, own_tid)
+
+    def _announce(self, changes: list[tuple[str, Any, Any, Columns]]) -> None:
+        """Hand a committed statement's changes to the listeners, as rows."""
+        for listener in self._listeners:
+            for event, partition, positions, columns in changes:
+                listener(event, partition, list(map(int, positions)), list(map(list, zip(*columns))))
+
+
+class ColumnTable(Table):
+    """A named, partitioned, MVCC-versioned column-store table; its
+    single-column primary key is enforced (:meth:`_check_keys`)."""
+
+    # own names of this class, so that a tracer can wrap them here alone
+    # (benchmarks/harness/trace.py)
+    insert, delete_at, update_at = Table.insert, Table.delete_at, Table.update_at
 
     def __init__(
         self,
@@ -313,12 +479,6 @@ class ColumnTable:
         """Register a committed-change listener (e.g. the text indexer)."""
         self._listeners.append(listener)
 
-    def _notify(
-        self, event: str, partition: TablePartition, positions: list[int], rows: list[list[Any]]
-    ) -> None:
-        for listener in self._listeners:
-            listener(event, partition, positions, rows)
-
     # -- schema (flexible tables) ---------------------------------------------------
 
     def ensure_columns(self, row: Mapping[str, Any], default_dtype: DataType) -> None:
@@ -342,57 +502,69 @@ class ColumnTable:
                 for partition in self.partitions:
                     partition.add_column(spec)
 
-    # -- writes -------------------------------------------------------------------
+    # -- key enforcement --------------------------------------------------------------
 
-    def insert(self, row: Sequence[Any] | Mapping[str, Any], txn: Transaction) -> tuple[int, int]:
-        """Insert one row; returns ``(partition ordinal, position)``.
-
-        Raises :class:`~repro.errors.DuplicateKeyError` when a live row
-        holds the row's primary key (see :meth:`_check_key`).
-        """
-        values = self.schema.coerce_row(row)
-        self._check_key(values, txn)
-        return self._append(values, txn)
-
-    def _check_key(
-        self,
-        values: Sequence[Any],
-        txn: Transaction,
-        replacing: tuple[TablePartition, int] | None = None,
+    def _check_keys(
+        self, new: Columns, old: Columns | None, runs: Runs, positions: np.ndarray | None, txn: Transaction
     ) -> None:
-        """Refuse a row whose single-column primary key another version holds.
+        """Refuse a set after which the single-column primary key would not
+        be unique — judged at the end of the statement, as SQL's immediate
+        constraints are, so the order of its rows does not matter.
 
-        Every version of the key in every partition is judged by its stamps
-        (``replacing`` names the version an UPDATE is about to delete):
+        The new rows may not repeat a key. A key a new row *changes* (any
+        inserted one; an updated one that differs from the old) and some
+        version holds — one membership test against each key fragment
+        finds these — is judged by :meth:`_check_key_value`, where the
+        versions the statement deletes are no obstacle. A NULL key equals
+        nothing and is not checked; tables without a single-column key are
+        not checked at all.
+        """
+        key = self.schema.key_column
+        if key is None:
+            return
+        index = self.schema.position(key)
+        keys = new[index]
+        present = [value for value in keys if value is not None] if None in keys else keys
+        distinct = set(present)
+        if len(distinct) != len(present):
+            seen: set[Any] = set()
+            for value in present:
+                if value in seen:
+                    raise DuplicateKeyError(
+                        f"table {self.name!r}: the statement writes {key} = {value!r} more than once"
+                    )
+                seen.add(value)
+        if old is not None:
+            present = [
+                value for value, was in zip(keys, old[index]) if value is not None and value != was
+            ]
+            distinct = set(present)
+        # a lone key is probed directly; more take one membership test per key fragment
+        held = distinct if len(distinct) < 2 else set().union(*(p.held_keys(present) for p in self.partitions))
+        if held:
+            replaced = {(o, p) for o, rows in runs for p in positions[rows].tolist()} if runs else set()
+            for value in present:
+                if value in held:
+                    self._check_key_value(value, txn, replaced)
 
-        * rolled back, deleted by ``txn`` itself, or dead at ``txn``'s
-          snapshot — no obstacle;
+    def _check_key_value(self, value: Any, txn: Transaction, replaced: set[tuple[int, int]]) -> None:
+        """Refuse the (non-NULL) key ``value`` if another version holds it.
+
+        Every version of the key in every partition is judged by its stamps:
+
+        * one the statement deletes (``replaced``), rolled back, deleted by
+          ``txn`` itself, or dead at ``txn``'s snapshot — no obstacle;
         * live, committed or ``txn``'s own — :class:`DuplicateKeyError`;
         * created or being deleted by another open transaction, or deleted
           by a commit ``txn``'s snapshot does not see yet —
           :class:`WriteConflictError`: the outcome depends on a decision
           not visible here, and a fresh snapshot settles it.
-
-        A NULL key equals nothing and is not checked; tables without a
-        single-column key are not checked at all.
         """
         key = self.schema.key_column
-        value = None if key is None else values[self.schema.position(key)]
-        if value is not None:
-            self._check_key_value(value, txn, replacing)
-
-    def _check_key_value(
-        self,
-        value: Any,
-        txn: Transaction,
-        replacing: tuple[TablePartition, int] | None = None,
-    ) -> None:
-        """:meth:`_check_key` for the (non-NULL) key ``value``."""
-        key = self.schema.key_column
         own, snapshot = txn.stamp, txn.snapshot_cid
-        for partition in self.partitions:
+        for ordinal, partition in enumerate(self.partitions):
             for position in partition.key_versions(value).tolist():
-                if replacing is not None and replacing == (partition, position):
+                if (ordinal, position) in replaced:
                     continue
                 created, deleted = partition.created[position], partition.deleted[position]
                 if created == INF_CID or deleted == own:
@@ -406,132 +578,6 @@ class ColumnTable:
                         f"table {self.name!r}: {key} = {value!r} is being written "
                         f"by a concurrent transaction"
                     )
-
-    def _append(self, values: list[Any], txn: Transaction) -> tuple[int, int]:
-        """Route, store and log one coerced, key-checked row."""
-        ordinal = self.partitioning.route(values, self.schema)
-        partition = self.partitions[ordinal]
-        position = partition.insert_row(values, txn)
-        txn.log_redo({"op": "insert", "table": self.name, "row": values})
-        txn.on_commit(
-            lambda _cid, p=partition, pos=position, vals=values: self._notify(
-                EVENT_INSERT, p, [pos], [vals]
-            )
-        )
-        return ordinal, position
-
-    def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]], txn: Transaction) -> int:
-        """Insert many rows, set at a time; returns the count.
-
-        The batch is coerced a column at a time
-        (:meth:`TableSchema.coerce_columns`) and every key is checked
-        before the first row is stored (:meth:`_check_keys`), so a refused
-        batch writes nothing. Each partition's share is then appended with
-        one ``extend`` per column (:meth:`TablePartition.append_columns`),
-        one stamp slot, one redo record and one commit hook.
-        """
-        columns = self.schema.coerce_columns(rows)
-        count = len(columns[0]) if columns else 0
-        if not count:
-            return 0
-        self._check_keys(columns, txn)
-        if isinstance(self.partitioning, SinglePartition):
-            self._append_columns(0, columns, txn)
-            return count
-        route, schema = self.partitioning.route, self.schema
-        shares: dict[int, list[int]] = {}
-        for index, row in enumerate(zip(*columns)):
-            shares.setdefault(route(row, schema), []).append(index)
-        for ordinal, indexes in sorted(shares.items()):
-            self._append_columns(ordinal, [[values[i] for i in indexes] for values in columns], txn)
-        return count
-
-    def _check_keys(self, columns: list[list[Any]], txn: Transaction) -> None:
-        """:meth:`_check_key` for a batch: the keys the batch repeats
-        (found by set size) and those some partition already holds (one
-        membership test against each key fragment) are judged, in batch
-        order, by the same rules — so the outcome is the one inserting
-        the rows one by one would end on, and an empty table checks
-        nothing."""
-        key = self.schema.key_column
-        if key is None:
-            return
-        keys = columns[self.schema.position(key)]
-        present = [value for value in keys if value is not None] if None in keys else keys
-        repeated = len(set(present)) != len(present)
-        held: set[Any] = set()
-        for partition in self.partitions:  # held_keys reloads an evicted partition
-            held.update(partition.held_keys(present))
-        if not held and not repeated:
-            return
-        seen: set[Any] = set()
-        for value in present:
-            if value in seen:
-                raise DuplicateKeyError(
-                    f"table {self.name!r}: the batch holds {key} = {value!r} more than once"
-                )
-            seen.add(value)
-            if value in held:
-                self._check_key_value(value, txn)
-
-    def _append_columns(self, ordinal: int, columns: list[list[Any]], txn: Transaction) -> None:
-        """Store, log and announce one partition's share of a checked batch."""
-        partition = self.partitions[ordinal]
-        start = partition.append_columns(columns, txn)
-        txn.log_redo({"op": "insert_many", "table": self.name, "columns": columns})
-
-        def announce(_cid: int) -> None:
-            if self._listeners:  # rows are materialised for listeners only
-                rows = [list(row) for row in zip(*columns)]
-                self._notify(EVENT_INSERT, partition, list(range(start, start + len(rows))), rows)
-
-        txn.on_commit(announce)
-
-    def delete_at(
-        self, ordinal: int, position: int, txn: Transaction, row: list[Any] | None = None
-    ) -> None:
-        """Delete the row version at (partition, position).
-
-        ``row`` is that version's values when the caller has already read
-        them (the redo record and the change listeners need them).
-        """
-        partition = self.partitions[ordinal]
-        if row is None:
-            row = partition.rows_at(np.asarray([position]))[0]
-        partition.mark_deleted(position, txn)
-        txn.log_redo({"op": "delete", "table": self.name, "row": row})
-        txn.on_commit(
-            lambda _cid, p=partition, pos=position, vals=row: self._notify(
-                EVENT_DELETE, p, [pos], [vals]
-            )
-        )
-
-    def update_at(
-        self,
-        ordinal: int,
-        position: int,
-        changes: Mapping[str, Any],
-        txn: Transaction,
-        old_row: list[Any] | None = None,
-    ) -> tuple[int, int]:
-        """Update = delete old version + insert the changed row.
-
-        ``old_row`` as ``row`` in :meth:`delete_at`. Whether the old version
-        is still there to replace, then the new row's key, are checked
-        before anything is written, so a refused update leaves the
-        transaction as it found it.
-        """
-        partition = self.partitions[ordinal]
-        partition.require_undeleted(position)
-        if old_row is None:
-            old_row = partition.rows_at(np.asarray([position]))[0]
-        new_row = list(old_row)
-        for column_name, value in changes.items():
-            new_row[self.schema.position(column_name)] = value
-        new_row = self.schema.coerce_row(new_row)
-        self._check_key(new_row, txn, replacing=(partition, position))
-        self.delete_at(ordinal, position, txn, old_row)
-        return self._append(new_row, txn)
 
     # -- reads --------------------------------------------------------------------
 
@@ -578,26 +624,14 @@ class ColumnTable:
                     matches.append((ordinal, int(position), row))
         return matches
 
-    def locate(
-        self, row: list[Any], snapshot_cid: int, own_tid: int = 0
-    ) -> tuple[int, int] | None:
-        """(ordinal, position) of a visible version equal to ``row``, if any.
-
-        Redo replay identifies the version a logged delete removed by its
-        full row. A keyed table looks only at the versions of that key; a
-        keyless one has nothing better than :meth:`find_rows`.
-        """
+    def _candidates(self, partition: Any, columns: Columns, snapshot_cid: int, own_tid: int) -> np.ndarray:
+        """On a keyed table, :meth:`locate` looks only at the visible
+        versions of the rows' keys (at every visible row for a NULL key)."""
         key = self.schema.key_column
-        value = None if key is None else row[self.schema.position(key)]
-        if value is None:
-            matches = self.find_rows(lambda candidate: candidate == row, snapshot_cid, own_tid)
-            return matches[0][:2] if matches else None
-        for ordinal, partition in enumerate(self.partitions):
-            positions = partition.key_positions((value,), snapshot_cid, own_tid)
-            for position, candidate in zip(positions.tolist(), partition.rows_at(positions)):
-                if candidate == row:
-                    return ordinal, position
-        return None
+        keys = None if key is None else columns[self.schema.position(key)]
+        if keys is None or None in keys:
+            return partition.visible_positions(snapshot_cid, own_tid)
+        return partition.key_positions(keys, snapshot_cid, own_tid)
 
     # -- stats ---------------------------------------------------------------------
 
@@ -621,9 +655,3 @@ class ColumnTable:
             "columns": len(self.schema.columns),
         }
 
-
-def require_table(obj: Any) -> ColumnTable:
-    """Assert-and-return helper for call sites holding catalog entries."""
-    if not isinstance(obj, ColumnTable):
-        raise StorageError(f"expected a ColumnTable, got {type(obj).__name__}")
-    return obj

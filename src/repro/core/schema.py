@@ -138,6 +138,8 @@ class TableSchema:
         reported is the first bad value of the first bad *column*.
         """
         rows = list(rows)
+        if len(rows) == 1:  # one row: a pass per value beats a pass per column
+            return [[value] for value in self.coerce_row(rows[0])]
         if not set(map(type, rows)) <= {list, tuple}:
             rows = [self._positional(row) for row in rows]
         width = len(self.columns)

@@ -134,8 +134,7 @@ class DataType:
         other column falls back to :meth:`coerce` per value, so results
         and errors are the per-value ones.
         """
-        kinds = set(map(type, values))
-        kinds.discard(type(None))
+        kinds = set(map(type, values)) - {type(None)}
         if not kinds:
             return values
         canonical = _CANONICAL.get(self.code)

@@ -95,12 +95,8 @@ class ColumnarSparseMatrix:
                 table,
                 make_schema(("i", dt.INTEGER), ("j", dt.INTEGER), ("v", dt.DOUBLE)),
             )
-        relation = database.catalog.table(table)
         txn = database.begin()
-        count = 0
-        for row, col, value in self.triples():
-            relation.insert([row, col, value], txn)
-            count += 1
+        count = database.catalog.table(table).insert_many(self.triples(), txn)
         database.commit(txn)
         return count
 

@@ -119,17 +119,14 @@ def extract_to_table(
     )
     text_position = source.schema.position(text_column)
     extractor = EntityExtractor()
+    rows = [
+        [None if key_position is None else str(row[key_position]), entity.entity_type, entity.text]
+        for row in source.scan_rows(snapshot)
+        if row[text_position] is not None
+        for entity in extractor.extract(str(row[text_position]))
+    ]
     txn = database.begin()
-    count = 0
-    target = database.catalog.table(target_table)
-    for row in source.scan_rows(snapshot):
-        text = row[text_position]
-        if text is None:
-            continue
-        key = str(row[key_position]) if key_position is not None else None
-        for entity in extractor.extract(str(text)):
-            target.insert([key, entity.entity_type, entity.text], txn)
-            count += 1
+    count = database.catalog.table(target_table).insert_many(rows, txn)
     database.commit(txn)
     return count
 

@@ -29,13 +29,9 @@ from repro.aging.tiering import aged_ordinals
 from repro.columnstore.table import ColumnTable
 from repro.core.database import Database
 from repro.errors import HadoopError, LogError, LogSealedError
-from repro.hadoop.hdfs import HdfsCluster
+from repro.hadoop.hdfs import HdfsCluster, parse_csv_line
 from repro.soe.cluster import NetworkModel
 from repro.soe.engine import SoeEngine
-
-
-def _parse_csv_line(line: str, delimiter: str = ",") -> list[Any]:
-    return [None if field == "" else field for field in line.split(delimiter)]
 
 
 def load_hdfs_csv_into_database(
@@ -47,14 +43,10 @@ def load_hdfs_csv_into_database(
 ) -> int:
     """File-reader connector: HDFS CSV → existing HANA table (coerced)."""
     target = database.catalog.table(table)
+    rows = [parse_csv_line(line, delimiter) for line in hdfs.read_file(path) if line.strip()]
     txn = database.begin()
-    count = 0
     try:
-        for line in hdfs.read_file(path):
-            if not line.strip():
-                continue
-            target.insert(_parse_csv_line(line, delimiter), txn)
-            count += 1
+        count = target.insert_many(rows, txn)
     except Exception:
         obs.count("hadoop.import_rollbacks")
         database.rollback(txn)
@@ -76,7 +68,7 @@ def load_hdfs_csv_into_soe(
     for line in hdfs.read_file(path):
         if not line.strip():
             continue
-        values = _parse_csv_line(line, delimiter)
+        values = parse_csv_line(line, delimiter)
         if types is not None:
             values = [
                 None if value is None else caster(value)
@@ -195,13 +187,13 @@ def export_aged_partition_to_hdfs(
         for ordinal in ordinals:
             partition = target.partitions[ordinal]
             positions = partition.visible_positions(snapshot, txn.tid)
-            rows = partition.rows_at(positions)
-            for position, row in zip(positions, rows):
-                lines.append(
-                    delimiter.join("" if value is None else str(value) for value in row)
-                )
-                partition.mark_deleted(int(position), txn)
-                exported += 1
+            lines.extend(
+                delimiter.join("" if value is None else str(value) for value in row)
+                for row in partition.rows_at(positions)
+            )
+            if len(positions):
+                partition.mark_deleted(positions, txn)
+            exported += len(positions)
     except Exception:
         obs.count("hadoop.export_rollbacks")
         database.rollback(txn)
@@ -274,7 +266,7 @@ def load_hdfs_file_colocated(
         for line in lines:
             if not line.strip():
                 continue
-            values = _parse_csv_line(line, delimiter)
+            values = parse_csv_line(line, delimiter)
             if types is not None:
                 values = [
                     None if value is None else caster(value)

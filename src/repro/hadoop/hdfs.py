@@ -17,6 +17,11 @@ from typing import Iterable, Iterator
 from repro.errors import HdfsError
 
 
+def parse_csv_line(line: str, delimiter: str = ",") -> list[str | None]:
+    """The fields of one text line; an empty field is NULL."""
+    return [None if field == "" else field for field in line.split(delimiter)]
+
+
 @dataclass
 class BlockMeta:
     """One block's identity and placement."""

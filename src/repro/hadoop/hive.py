@@ -23,7 +23,7 @@ from repro.core.database import Database
 from repro.core.result import QueryResult
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.errors import HadoopError
-from repro.hadoop.hdfs import HdfsCluster
+from repro.hadoop.hdfs import HdfsCluster, parse_csv_line
 
 
 @dataclass
@@ -98,18 +98,10 @@ class HiveServer:
     def _load_into(self, scratch: Database, table: ExternalTable) -> int:
         schema = table.schema()
         scratch.create_table(table.name, schema)
-        target = scratch.catalog.table(table.name)
+        lines = self.hdfs.read_file(table.path)
+        rows = [parse_csv_line(line, table.delimiter) for line in lines if line.strip()]
         txn = scratch.begin()
-        count = 0
-        for line in self.hdfs.read_file(table.path):
-            if not line.strip():
-                continue
-            values = [
-                None if field == "" else field
-                for field in line.split(table.delimiter)
-            ]
-            target.insert(values, txn)
-            count += 1
+        count = scratch.catalog.table(table.name).insert_many(rows, txn)
         scratch.commit(txn)
         return count
 

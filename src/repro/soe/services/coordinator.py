@@ -413,6 +413,11 @@ class Coordinator:
         strategy = query.strategy
         if strategy == "auto":
             strategy = self._choose_join_strategy(query)
+        elif strategy == "colocated" and not self._colocatable(query):
+            raise CoordinationError(
+                f"a colocated join needs {query.fact_table!r} and {query.dim_table!r} "
+                f"hash-partitioned alike on the join key, with aligned placement"
+            )
         place = {
             "broadcast": self._place_broadcast,
             "repartition": self._place_repartition,
@@ -423,6 +428,15 @@ class Coordinator:
         return self._execute(strategy, [query.fact_table, query.dim_table], query, place)
 
     def _choose_join_strategy(self, query: JoinQuery) -> str:
+        if self._colocatable(query):
+            return "colocated"
+        dim_rows = self._table_rows(query.dim_table)
+        fact_rows = self._table_rows(query.fact_table)
+        return "broadcast" if dim_rows * 10 <= fact_rows else "repartition"
+
+    def _colocatable(self, query: JoinQuery) -> bool:
+        """Can the join run node-locally: both sides hash-partitioned alike
+        on the join key, each partition pair on a common node?"""
         fact_meta = self.catalog.table(query.fact_table)
         dim_meta = self.catalog.table(query.dim_table)
         co_partitioned = (
@@ -430,19 +444,11 @@ class Coordinator:
             and fact_meta.key_columns == [query.fact_key]
             and dim_meta.key_columns == [query.dim_key]
         )
-        if co_partitioned and self._placement_aligned(query):
-            return "colocated"
-        dim_rows = self._table_rows(query.dim_table)
-        fact_rows = self._table_rows(query.fact_table)
-        return "broadcast" if dim_rows * 10 <= fact_rows else "repartition"
-
-    def _placement_aligned(self, query: JoinQuery) -> bool:
+        if not co_partitioned:
+            return False
         fact_nodes = self.catalog.placement_of(query.fact_table)
         dim_nodes = self.catalog.placement_of(query.dim_table)
-        return all(
-            set(fact_nodes[pid]) & set(dim_nodes.get(pid, []))
-            for pid in fact_nodes
-        )
+        return all(set(fact_nodes[pid]) & set(dim_nodes.get(pid, [])) for pid in fact_nodes)
 
     def _table_rows(self, table: str) -> int:
         total = 0

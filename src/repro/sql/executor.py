@@ -786,17 +786,6 @@ def _contains_probe(
 # --------------------------------------------------------------------------
 
 
-def _execute_join(
-    node: JoinNode, inputs: list[Batch], context: ExecutionContext, top: int | None
-) -> Batch:
-    left, right = inputs
-    joined = _equi_join(left, right, node, context)
-    if node.residual is not None:
-        mask = np.asarray(evaluate(node.residual, joined, context), dtype=bool)
-        joined = joined.filter(mask)
-    return joined
-
-
 def _operand(expr: ast.Expr, batch: Batch, context: ExecutionContext) -> Column:
     """An operator input: a bare column reference keeps its coded form,
     any other expression is evaluated to a plain array."""
@@ -831,16 +820,20 @@ def _join_keys(
     return left_key, left_ok, right_key, right_ok
 
 
-def _equi_join(
-    left: Batch, right: Batch, node: JoinNode, context: ExecutionContext
+def _execute_join(
+    node: JoinNode, inputs: list[Batch], context: ExecutionContext, top: int | None
 ) -> Batch:
     """Sort-based equi join on integer keys.
 
     Output order is the hash join's: left rows in order, each with its
     matches in ascending right position, then (``LEFT``) the unmatched
     left rows. NULL keys never join. Without equi pairs every row matches
-    every row: the cross product, which ``join_rows`` does not count.
+    every row: the cross product, which ``join_rows`` does not count. The
+    residual ``ON`` conjuncts filter the matched pairs — of a ``LEFT``
+    join before the unmatched left rows are found, so a left row that
+    loses every match to them is padded, not dropped.
     """
+    left, right = inputs
     left_index, right_index, counts = join_pairs(*_join_keys(left, right, node, context))
 
     columns = {**left.take(left_index).columns, **right.take(right_index).columns}
@@ -848,6 +841,11 @@ def _equi_join(
     if node.equi or node.kind != "cross":
         context.bump("join_rows", len(left_index))
         obs.count("sql.executor.join_rows", len(left_index))
+    if node.residual is not None:
+        keep = np.asarray(evaluate(node.residual, matched, context), dtype=bool)
+        matched = matched.filter(keep)
+        if node.kind == "left":
+            counts = np.bincount(left_index[keep], minlength=len(left))
 
     if node.kind != "left" or counts.all():
         return matched

@@ -192,30 +192,32 @@ class CollectSink(Sink):
 
 
 class TableSink(Sink):
-    """Inserts events into a database table, batching commits."""
+    """Inserts events into a database table: each batch is one set,
+    written and committed in one transaction."""
 
     def __init__(self, database: Any, table: str, batch_size: int = 100) -> None:
         self.database = database
         self.table = database.catalog.table(table)
         self.batch_size = batch_size
-        self._txn = None
-        self._pending = 0
+        self._pending: list[Event] = []
         self.inserted = 0
 
     def consume(self, event: Event) -> None:
-        if self._txn is None:
-            self._txn = self.database.begin()
-        self.table.insert(event, self._txn)
-        self._pending += 1
+        self._pending.append(event)
         self.inserted += 1
-        if self._pending >= self.batch_size:
+        if len(self._pending) >= self.batch_size:
             self.flush()
 
     def flush(self) -> None:
-        if self._txn is not None:
-            self.database.commit(self._txn)
-            self._txn = None
-            self._pending = 0
+        if self._pending:
+            txn = self.database.begin()
+            try:
+                self.table.insert_many(self._pending, txn)
+            except Exception:
+                self.database.rollback(txn)
+                raise
+            self.database.commit(txn)
+            self._pending = []
 
 
 class StreamProcessor:

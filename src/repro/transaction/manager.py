@@ -21,6 +21,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.analysis.racecheck import track_fields
 from repro.errors import InvalidTransactionStateError, TransactionAbortedError
 from repro.transaction.mvcc import INF_CID, uncommitted_stamp
@@ -36,18 +38,17 @@ class TxnState(enum.Enum):
 
 @dataclass
 class StampSlot:
-    """A pending MVCC stamp: where to write the commit id on commit.
+    """A pending MVCC stamp: where to write the commit id on commit, and
+    ``INF_CID`` on rollback.
 
     ``vector`` is any object supporting ``__setitem__(position, int)`` —
     in practice a :class:`repro.util.arrays.GrowableInt64`. ``position``
-    is one row, or a ``slice`` of rows a batch appended together.
-    ``on_abort`` is the value to restore on rollback (``INF_CID`` for
-    deletions, the tombstone for insertions).
+    is one row, a ``slice`` of rows a batch appended together, or an
+    index array of the rows one statement deleted.
     """
 
     vector: Any
-    position: int | slice
-    on_abort: int
+    position: int | slice | np.ndarray
 
 
 @dataclass
@@ -85,21 +86,16 @@ class Transaction:
 
     # -- write registration (called by the storage layer) -------------------
 
-    def record_insert(self, vector: Any, position: int) -> None:
-        """Register a freshly inserted row's ``created`` slot."""
+    def record_insert(self, vector: Any, position: int | slice | np.ndarray) -> None:
+        """Register the ``created`` slot of freshly inserted rows: one
+        position, a slice or an index array, stamped as one."""
         self._require_active()
-        self._created_slots.append(StampSlot(vector, position, INF_CID))
+        self._created_slots.append(StampSlot(vector, position))
 
-    def record_insert_range(self, vector: Any, start: int, stop: int) -> None:
-        """Register the ``created`` slots of rows ``start..stop-1``,
-        appended as one batch: one slot, stamped as a slice."""
+    def record_delete(self, vector: Any, position: int | slice | np.ndarray) -> None:
+        """Register the ``deleted`` slot of deleted rows, as :meth:`record_insert`."""
         self._require_active()
-        self._created_slots.append(StampSlot(vector, slice(start, stop), INF_CID))
-
-    def record_delete(self, vector: Any, position: int) -> None:
-        """Register a deletion's ``deleted`` slot."""
-        self._require_active()
-        self._deleted_slots.append(StampSlot(vector, position, INF_CID))
+        self._deleted_slots.append(StampSlot(vector, position))
 
     def log_redo(self, record: dict[str, Any]) -> None:
         """Queue a redo-log record to be flushed atomically at commit."""
@@ -163,9 +159,7 @@ class TransactionManager:
                 cid = self._last_committed_cid + 1
                 if self._redo_writer is not None and txn._redo_records:
                     self._redo_writer(txn._redo_records, cid)
-                for slot in txn._created_slots:
-                    slot.vector[slot.position] = cid
-                for slot in txn._deleted_slots:
+                for slot in txn._created_slots + txn._deleted_slots:
                     slot.vector[slot.position] = cid
                 self._last_committed_cid = cid
                 txn.state = TxnState.COMMITTED
@@ -181,12 +175,11 @@ class TransactionManager:
         if txn.state is TxnState.ABORTED:
             return
         txn._require_active()
-        # Inserted rows become permanently invisible tombstones; deletions
-        # are un-marked so other writers may target the row again.
-        for slot in txn._created_slots:
+        # Inserted rows become permanently invisible tombstones (created =
+        # INF_CID); deletions are un-marked (deleted = INF_CID) so other
+        # writers may target the row again.
+        for slot in txn._created_slots + txn._deleted_slots:
             slot.vector[slot.position] = INF_CID
-        for slot in txn._deleted_slots:
-            slot.vector[slot.position] = slot.on_abort
         txn.state = TxnState.ABORTED
         with self._commit_lock:
             self._active.pop(txn.tid, None)

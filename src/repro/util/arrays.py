@@ -33,27 +33,26 @@ class GrowableInt64:
 
     def append(self, value: int) -> int:
         """Append ``value``; returns the position it was stored at."""
-        if self._size == len(self._data):
-            grown = np.empty(len(self._data) * 2, dtype=np.int64)
-            grown[: self._size] = self._data
-            self._data = grown
-        self._data[self._size] = value
-        self._size += 1
-        return self._size - 1
+        return self.fill(value, 1)
 
     def extend(self, values: np.ndarray) -> None:
         """Append many values at once."""
         values = np.asarray(values, dtype=np.int64)
-        needed = self._size + len(values)
-        if needed > len(self._data):
+        self.fill(values, len(values))
+
+    def fill(self, value: int | np.ndarray, count: int) -> int:
+        """Append ``count`` copies of ``value`` (or the ``count`` values of
+        an array); returns the first one's position."""
+        start, self._size = self._size, self._size + count
+        if self._size > len(self._data):
             capacity = len(self._data)
-            while capacity < needed:
+            while capacity < self._size:
                 capacity *= 2
             grown = np.empty(capacity, dtype=np.int64)
-            grown[: self._size] = self._data[: self._size]
+            grown[:start] = self._data[:start]
             self._data = grown
-        self._data[self._size : needed] = values
-        self._size = needed
+        self._data[start : self._size] = value
+        return start
 
     def view(self) -> np.ndarray:
         """Zero-copy view of the live prefix. Do not resize while held."""
@@ -66,15 +65,9 @@ class GrowableInt64:
             raise IndexError(index)
         return int(self._data[index])
 
-    def __setitem__(self, index: int | slice, value: int) -> None:
-        if isinstance(index, slice):
-            self.view()[index] = value
-            return
-        if index < 0:
-            index += self._size
-        if not 0 <= index < self._size:
-            raise IndexError(index)
-        self._data[index] = value
+    def __setitem__(self, index: int | slice | np.ndarray, value: int) -> None:
+        """Set one position, a slice or an index array of positions."""
+        self.view()[index] = value
 
 
 #: the widest span :func:`stable_order` sorts: two 16-bit radix passes

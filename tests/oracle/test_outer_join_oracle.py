@@ -5,7 +5,9 @@ joined rows *after* padding: ``b.id IS NULL`` is the anti-join idiom,
 ``b.y > 5`` drops the padded rows, ``b.y IS NULL`` keeps them. Pushed
 into ``b``'s scan it would filter ``b`` before the join instead, and every
 engine would agree on the same wrong answer — which is why the judge here
-is a database that shares no code with this one. All three engines
+is a database that shares no code with this one. A non-equi ``ON``
+conjunct is the other way round: it filters the pairs *before* padding,
+so the left rows it leaves unmatched come back padded. All three engines
 (vectorised, compiled, Volcano) answer each query over rows held in the
 delta and over rows merged into the main.
 """
@@ -36,6 +38,9 @@ WHERES = [
     "b.y > 5 OR a.x > 30",
     "a.x >= 20 AND b.id IS NULL",
 ]
+#: non-equi ``ON`` conjuncts: they decide which pairs match, so a left row
+#: they leave without a match is padded — on either side's columns
+ON_RESIDUALS = ["b.y > 5", "a.x > 15"]
 
 
 def _values(rows):
@@ -83,7 +88,15 @@ def database(request):
 
 @pytest.mark.parametrize("where", WHERES)
 def test_left_join_where_matches_sqlite(database, oracle, where):
-    sql = f"{SELECT} WHERE {where}"
+    _assert_engines_match_sqlite(database, oracle, f"{SELECT} WHERE {where}")
+
+
+@pytest.mark.parametrize("on", ON_RESIDUALS)
+def test_left_join_on_residual_matches_sqlite(database, oracle, on):
+    _assert_engines_match_sqlite(database, oracle, f"{SELECT} AND {on}")
+
+
+def _assert_engines_match_sqlite(database, oracle, sql):
     expected = _normalise(oracle.execute(sql).fetchall())
     plan = plan_select(parse(sql), database.catalog)
     engines = {

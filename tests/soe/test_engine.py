@@ -69,6 +69,22 @@ def test_join_strategies_agree():
     assert results["broadcast"] == results["repartition"] == results["colocated"]
 
 
+def test_colocated_join_is_refused_unless_both_sides_are_partitioned_on_the_key():
+    """``f`` is partitioned on ``id``, not on the join key ``k``: a node-local
+    join would see only the dim rows that happen to share a partition."""
+    soe = SoeEngine(node_count=4)
+    soe.create_table("f", ["id", "k", "v"], ["id"], partition_count=8)
+    soe.create_table("d", ["k", "g"], ["k"], partition_count=8)
+    soe.load("f", [[i, i % 50, 1.0] for i in range(2000)])
+    soe.load("d", [[k, f"g{k % 3}"] for k in range(50)])
+    for strategy in ("broadcast", "repartition", "auto"):
+        rows, cost = soe.join("f", "d", "k", "k", "g", [("sum", "v")], strategy=strategy)
+        assert sum(row[1] for row in rows) == 2000.0
+        assert cost.strategy != "colocated"
+    with pytest.raises(CoordinationError, match="colocated"):
+        soe.join("f", "d", "k", "k", "g", [("sum", "v")], strategy="colocated")
+
+
 def test_join_strategies_agree_with_reference():
     """Every strategy against a plain nested-loop join: all aggregate ops,
     NULL fact keys, NULL dim keys (NULL = NULL must not match), NULL

@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 from repro.columnstore.column import MainColumn
-from repro.columnstore.table import TablePartition
+from repro.columnstore.table import ColumnTable, TablePartition
 from repro.core.database import Database
 from repro.sql import executor
 
@@ -138,18 +138,18 @@ def test_point_read_decodes_no_column_and_touches_only_its_own(merged_orders):
 def test_update_by_key_finds_its_row_on_value_ids(merged_orders, monkeypatch):
     database, full_decodes, touched = merged_orders
     touched_by_where = []
-    rows_at = TablePartition.rows_at
+    gather = ColumnTable.gather
 
     def spy(self, *args):  # the matched row is fetched whole, after the WHERE
         touched_by_where.append(set(touched))
-        return rows_at(self, *args)
+        return gather(self, *args)
 
-    monkeypatch.setattr(TablePartition, "rows_at", spy)
+    monkeypatch.setattr(ColumnTable, "gather", spy)
     result = database.execute("UPDATE orders SET amount = amount + 1 WHERE order_id = 7")
     assert result.rowcount == 1
     assert full_decodes == []
     assert touched_by_where[0] == {"order_id"}
-    # read once, handed down to update_at and delete_at (it was three reads)
+    # read once, for the assignments and handed down to update_at
     assert len(touched_by_where) == 1
     assert database.query("SELECT amount FROM orders WHERE order_id = 7").rows == [[4.5]]
 

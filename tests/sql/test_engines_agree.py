@@ -197,6 +197,9 @@ STORED_QUERIES = [(sql, True) for sql in QUERIES] + [
     ("SELECT cust FROM li WHERE id < 5 UNION SELECT cid FROM cust WHERE tier = 'tier1'", False),
     ("SELECT l.id, c.tier FROM li l LEFT JOIN cust c ON l.cust = c.cid "
      "WHERE c.cid IS NULL", False),
+    # a non-equi ON conjunct filters the matches before the left rows are padded
+    ("SELECT l.id, c.tier FROM li l LEFT JOIN cust c ON l.cust = c.cid AND c.tier <> 'tier1' "
+     "WHERE l.id < 60", False),
 ]
 
 BIGINT_QUERY = "SELECT g, MAX(k), MIN(k) FROM big GROUP BY g"

@@ -370,13 +370,13 @@ def test_duplicate_insert_is_refused_and_leaves_nothing_behind(accounts):
     for key in (1, 3):  # one in main, one in the delta
         with pytest.raises(DuplicateKeyError, match=f"id = {key}"):
             accounts.execute(f"INSERT INTO accounts VALUES ({key}, 'eve', 0.0)")
-    # a multi-row INSERT is one auto-commit statement: its first row goes with the refused second
+    # a multi-row INSERT is one set: its first row goes with the refused second
     with pytest.raises(DuplicateKeyError):
         accounts.execute("INSERT INTO accounts VALUES (9, 'new', 0.0), (2, 'eve', 0.0)")
     assert _snapshot(accounts) == before
     assert accounts.query("SELECT COUNT(*) FROM accounts WHERE id = 9").scalar() == 0
     assert accounts.txn_manager.aborts == aborts + 3  # each statement rolled its transaction back
-    assert table.delta_rows() == delta_rows + 1  # row 9 of the refused statement, a tombstone now
+    assert table.delta_rows() == delta_rows  # checked before anything was stored: no tombstone
     accounts.execute("INSERT INTO accounts VALUES (9, 'new', 0.0)")  # and no obstacle
 
 
