@@ -193,5 +193,4 @@ class AgingManager:
             raise AgingError(f"no data in {table}.{date_column} to analyse")
         values.sort()
         cutoff = values[int(len(values) * quantile)]
-        literal = f"DATE '{cutoff.isoformat()}'" if hasattr(cutoff, "isoformat") else repr(cutoff)
-        return f"{date_column} < {literal}"
+        return f"{date_column} < {ast.sql_literal(cutoff)}"

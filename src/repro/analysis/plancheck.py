@@ -56,6 +56,7 @@ from repro.sql import plancache
 from repro.sql.planner import (
     AggregateNode,
     DistinctNode,
+    ExternalNode,
     FilterNode,
     JoinNode,
     LimitNode,
@@ -182,12 +183,28 @@ CHARGE_POINTS: dict[str, str] = {
     "DistinctNode": "drops duplicates from charged input",
     "LimitNode": "truncates charged input",
     "UnionNode": "concatenates charged inputs",
+    "ExternalNode": (
+        "hands charged input to a function outside the engine; its output "
+        "is the function's, which no governor can bound"
+    ),
 }
 
 
 # --------------------------------------------------------------------------
 # schema soundness
 # --------------------------------------------------------------------------
+
+
+class _RunTimeColumns(frozenset):
+    """An :class:`ExternalNode`'s output: its function names the columns
+    when it runs, so every reference resolves here and
+    :meth:`~repro.sql.expressions.Batch.resolve` checks it then."""
+
+    def __contains__(self, name: object) -> bool:
+        return True
+
+
+_RUN_TIME = _RunTimeColumns()
 
 
 def _resolve(name: str, table: str | None, available: set[str]) -> str | None:
@@ -300,8 +317,10 @@ def _node_outputs(
         for left_expr, right_expr in node.equi:
             _check_expr(left_expr, left, node, "equi key (left side)", findings)
             _check_expr(right_expr, right, node, "equi key (right side)", findings)
-        _check_expr(node.residual, left | right, node, "residual predicate", findings)
-        return left | right
+        known = not isinstance(left, _RunTimeColumns) and not isinstance(right, _RunTimeColumns)
+        merged = left | right if known else _RUN_TIME
+        _check_expr(node.residual, merged, node, "residual predicate", findings)
+        return merged
     if isinstance(node, AggregateNode):
         available = _node_outputs(node.child, catalog, findings)
         outputs: set[str] = set()
@@ -375,6 +394,19 @@ def _node_outputs(
                         )
                     )
         return set(node.input_names[0]) if node.input_names else set()
+    if isinstance(node, ExternalNode):
+        available = _node_outputs(node.child, catalog, findings)
+        for column in node.columns or ():
+            if column not in available:
+                findings.append(
+                    PlanFinding(
+                        "schema",
+                        "ExternalNode",
+                        f"hands the function column {column!r} its child does "
+                        f"not emit (emits {sorted(available)})",
+                    )
+                )
+        return _RUN_TIME
     # an unknown node type is reported by the charge-coverage pass; emit
     # nothing so parents fail loudly rather than on a guessed schema
     return set()

@@ -25,6 +25,7 @@ those: :meth:`TablePartition.key_positions` for readers and UPDATE/DELETE,
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -412,15 +413,18 @@ class Table:
     def locate(self, columns: Columns, snapshot_cid: int, own_tid: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """``(ordinals, positions)`` of visible versions equal to the coerced
         rows ``columns`` holds, one per row found: redo replay identifies
-        the versions a logged delete removed by their full rows."""
-        wanted = list(map(list, zip(*columns)))
+        the versions a logged delete removed by their full rows, matched
+        through a multiset (stored values are hashable: dictionary encoding
+        already requires it)."""
+        wanted = Counter(zip(*columns))
         ordinals: list[int] = []
         found: list[int] = []
         for ordinal, partition in enumerate(self.partitions):
             positions = self._candidates(partition, columns, snapshot_cid, own_tid)
             for position, row in zip(positions.tolist(), partition.rows_at(positions)):
-                if row in wanted:
-                    wanted.remove(row)
+                row = tuple(row)
+                if wanted[row]:
+                    wanted[row] -= 1
                     ordinals.append(ordinal)
                     found.append(position)
         return np.asarray(ordinals, dtype=np.int64), np.asarray(found, dtype=np.int64)

@@ -8,7 +8,6 @@ conjunct pushdown), ``aggregate`` (grouped aggregation pushdown), ``sql``
 
 from __future__ import annotations
 
-import operator
 from pathlib import Path
 from typing import Any
 
@@ -16,35 +15,12 @@ from repro.core import types as dt
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.errors import FederationError
 from repro.federation.sda import FilterTriple
-
-_OPS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _apply_filters(rows: list[list[Any]], schema: TableSchema, filters: list[FilterTriple]) -> list[list[Any]]:
-    if not filters:
-        return rows
-    checks = [
-        (schema.position(column), _OPS[op], value) for column, op, value in filters
-    ]
-    out = []
-    for row in rows:
-        if all(
-            row[position] is not None and compare(row[position], value)
-            for position, compare, value in checks
-        ):
-            out.append(row)
-    return out
+from repro.sql.ast import sql_literal
 
 
 class HanaAdapter:
-    """Another repro :class:`Database` instance as a remote source."""
+    """Another repro :class:`Database` instance as a remote source: scans
+    and aggregations travel as SQL text, so the remote engine filters."""
 
     def __init__(self, name: str, database: Any) -> None:
         self.name = name
@@ -57,12 +33,7 @@ class HanaAdapter:
         return self.database.catalog.table(remote_table).schema
 
     def scan(self, remote_table: str, filters: list[FilterTriple] | None = None) -> list[list[Any]]:
-        sql = f"SELECT * FROM {remote_table}"
-        if filters:
-            sql += " WHERE " + " AND ".join(
-                f"{column} {op} {_sql_literal(value)}" for column, op, value in filters
-            )
-        return self.database.execute(sql).rows
+        return self.execute_sql(f"SELECT * FROM {remote_table}{_where(filters)}")
 
     def aggregate(
         self,
@@ -74,61 +45,30 @@ class HanaAdapter:
         select_parts = list(group_by)
         for op, column in aggregates:
             select_parts.append(f"{op.upper()}({column if column else '*'})")
-        sql = f"SELECT {', '.join(select_parts)} FROM {remote_table}"
-        if filters:
-            sql += " WHERE " + " AND ".join(
-                f"{column} {op} {_sql_literal(value)}" for column, op, value in filters
-            )
+        sql = f"SELECT {', '.join(select_parts)} FROM {remote_table}{_where(filters)}"
         if group_by:
             sql += " GROUP BY " + ", ".join(group_by)
-        return self.database.execute(sql).rows
+        return self.execute_sql(sql)
 
     def execute_sql(self, sql: str) -> list[list[Any]]:
         return self.database.execute(sql).rows
 
 
-class HiveAdapter:
-    """A :class:`~repro.hadoop.hive.HiveServer` as a remote source."""
-
-    def __init__(self, name: str, hive: Any) -> None:
-        self.name = name
-        self.hive = hive
-
-    def capabilities(self) -> set[str]:
-        return {"filter", "aggregate", "sql"}
+class HiveAdapter(HanaAdapter):
+    """A :class:`~repro.hadoop.hive.HiveServer` as a remote source: the
+    same SQL pushdown; only the schema lookup differs."""
 
     def table_schema(self, remote_table: str) -> TableSchema:
-        return self.hive.table(remote_table).schema()
+        return self.database.table(remote_table).schema()
 
-    def scan(self, remote_table: str, filters: list[FilterTriple] | None = None) -> list[list[Any]]:
-        sql = f"SELECT * FROM {remote_table}"
-        if filters:
-            sql += " WHERE " + " AND ".join(
-                f"{column} {op} {_sql_literal(value)}" for column, op, value in filters
-            )
-        return self.hive.execute(sql).rows
 
-    def aggregate(
-        self,
-        remote_table: str,
-        group_by: list[str],
-        aggregates: list[tuple[str, str | None]],
-        filters: list[FilterTriple],
-    ) -> list[list[Any]]:
-        select_parts = list(group_by)
-        for op, column in aggregates:
-            select_parts.append(f"{op.upper()}({column if column else '*'})")
-        sql = f"SELECT {', '.join(select_parts)} FROM {remote_table}"
-        if filters:
-            sql += " WHERE " + " AND ".join(
-                f"{column} {op} {_sql_literal(value)}" for column, op, value in filters
-            )
-        if group_by:
-            sql += " GROUP BY " + ", ".join(group_by)
-        return self.hive.execute(sql).rows
-
-    def execute_sql(self, sql: str) -> list[list[Any]]:
-        return self.hive.execute(sql).rows
+def _where(filters: list[FilterTriple] | None) -> str:
+    """The ``WHERE`` clause pushing ``filters`` down ("" for none)."""
+    if not filters:
+        return ""
+    return " WHERE " + " AND ".join(
+        f"{column} {op} {sql_literal(value)}" for column, op, value in filters
+    )
 
 
 class SoeAdapter:
@@ -205,16 +145,3 @@ class CsvAdapter:
                 raw = [None if field == "" else field for field in line.split(",")]
                 rows.append(schema.coerce_row(raw))
         return rows
-
-
-def _sql_literal(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if hasattr(value, "isoformat"):
-        return f"DATE '{value.isoformat()}'"
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"

@@ -22,6 +22,7 @@ from typing import Any, Protocol
 from repro import obs
 from repro.core.schema import TableSchema
 from repro.errors import FederationError
+from repro.soe.cluster import approx_values_bytes
 from repro.util.retry import RetryPolicy, SimulatedClock
 
 FilterTriple = tuple[str, str, Any]  # (column, op, literal)
@@ -50,14 +51,27 @@ class TransferLedger:
 
     def record(self, rows: list[list[Any]]) -> None:
         self.rows += len(rows)
-        payload = 0
-        for row in rows:
-            payload += sum(
-                len(value) + 1 if isinstance(value, str) else 8 for value in row
-            )
+        payload = sum(map(approx_values_bytes, rows))
         self.bytes += payload
         obs.count("federation.rows_shipped", len(rows))
         obs.count("federation.bytes_shipped", payload)
+
+
+def _remote(
+    source_name: str, fn: Any, retry_policy: RetryPolicy, clock: SimulatedClock, breaker: Any
+) -> list[list[Any]]:
+    """One remote call: through the source's circuit breaker, when it has
+    one, under the bounded retry policy."""
+    if breaker is not None:
+        wrapped = fn
+        fn = lambda: breaker.call(wrapped)  # noqa: E731
+    return retry_policy.call(
+        fn,
+        clock=clock,
+        on_retry=lambda _attempt, _exc: obs.count(
+            "federation.retries", source=source_name.lower()
+        ),
+    )
 
 
 class VirtualTable:
@@ -92,30 +106,20 @@ class VirtualTable:
         self.breaker = breaker
         self.is_virtual = True
 
-    def _remote(self, fn: Any) -> list[list[Any]]:
-        if self.breaker is not None:
-            wrapped = fn
-            fn = lambda: self.breaker.call(wrapped)  # noqa: E731
-        return self.retry_policy.call(
-            fn,
-            clock=self.clock,
-            on_retry=lambda _attempt, _exc: obs.count(
-                "federation.retries", source=self.source.name.lower()
-            ),
-        )
-
     def scan(self, snapshot_cid: int, own_tid: int = 0) -> list[list[Any]]:
         """Full remote scan (the executor's row-store protocol)."""
-        rows = self._remote(lambda: self.source.scan(self.remote_table))
-        self.ledger.record(rows)
-        return rows
+        return self.scan_with_filters([])
 
     def scan_with_filters(self, filters: list[FilterTriple]) -> list[list[Any]]:
         """Scan with pushed-down filters when the source supports it."""
-        if "filter" in self.source.capabilities():
-            rows = self._remote(lambda: self.source.scan(self.remote_table, filters))
-        else:
-            rows = self._remote(lambda: self.source.scan(self.remote_table))
+        pushed = filters if filters and "filter" in self.source.capabilities() else None
+        rows = _remote(
+            self.source.name,
+            lambda: self.source.scan(self.remote_table, pushed),
+            self.retry_policy,
+            self.clock,
+            self.breaker,
+        )
         self.ledger.record(rows)
         return rows
 
@@ -158,20 +162,6 @@ class SmartDataAccess:
             )
             self.breakers[key] = breaker
         return breaker
-
-    def _remote(self, source_name: str, fn: Any) -> list[list[Any]]:
-        """One remote call under the bounded retry policy."""
-        breaker = self.breaker_for(source_name)
-        if breaker is not None:
-            wrapped = fn
-            fn = lambda: breaker.call(wrapped)  # noqa: E731
-        return self.retry_policy.call(
-            fn,
-            clock=self.clock,
-            on_retry=lambda _attempt, _exc: obs.count(
-                "federation.retries", source=source_name.lower()
-            ),
-        )
 
     # -- sources ---------------------------------------------------------------
 
@@ -226,11 +216,14 @@ class SmartDataAccess:
             )
         obs.count("federation.pushdowns", kind="aggregate", source=source_name.lower())
         with obs.latency("federation.pushdown_seconds", source=source_name.lower()):
-            rows = self._remote(
+            rows = _remote(
                 source_name,
                 lambda: source.aggregate(  # type: ignore[attr-defined]
                     remote_table, group_by, aggregates, filters or []
                 ),
+                self.retry_policy,
+                self.clock,
+                self.breaker_for(source_name),
             )
         self.ledger.record(rows)
         return rows
@@ -242,6 +235,12 @@ class SmartDataAccess:
             raise FederationError(f"source {source_name!r} cannot execute SQL")
         obs.count("federation.pushdowns", kind="sql", source=source_name.lower())
         with obs.latency("federation.pushdown_seconds", source=source_name.lower()):
-            rows = self._remote(source_name, lambda: source.execute_sql(sql))  # type: ignore[attr-defined]
+            rows = _remote(
+                source_name,
+                lambda: source.execute_sql(sql),  # type: ignore[attr-defined]
+                self.retry_policy,
+                self.clock,
+                self.breaker_for(source_name),
+            )
         self.ledger.record(rows)
         return rows

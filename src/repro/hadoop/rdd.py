@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterable
 
+import numpy as np
+
 from repro.errors import HadoopError
 from repro.hadoop.hdfs import HdfsCluster
+from repro.sql.expressions import Batch
 
 
 class Rdd:
@@ -161,49 +164,21 @@ class SoeTableRdd:
 
     def rows(self) -> Rdd:
         """Materialise (filtered) rows out of the engine — the expensive
-        path pushdown avoids."""
-        meta = self.soe.catalog.table(self.table)
-        collected: list[tuple] = []
-        for node_id in self.soe.worker_ids:
-            store = self.soe.data_nodes[node_id].store
-            seen = self.soe.catalog.partitions_on(self.table, node_id)
-            for partition_id in seen:
-                partition = store.partition(self.table, partition_id)
-                for row in partition.rows():
-                    if self._matches(row, meta.columns):
-                        collected.append(row)
-        # de-duplicate replicas: keep first copy per partition only
-        return Rdd.from_iterable(self._dedup(collected, meta))
-
-    def _matches(self, row: tuple, columns: list[str]) -> bool:
-        for column, op, value in self.filters:
-            actual = row[columns.index(column)]
-            if actual is None:
-                return False
-            if op == "=" and not actual == value:
-                return False
-            if op == "<>" and not actual != value:
-                return False
-            if op == "<" and not actual < value:
-                return False
-            if op == "<=" and not actual <= value:
-                return False
-            if op == ">" and not actual > value:
-                return False
-            if op == ">=" and not actual >= value:
-                return False
-        return True
-
-    def _dedup(self, rows: list[tuple], meta: Any) -> list[tuple]:
-        if self.soe.replication <= 1:
-            return rows
-        seen: set[tuple] = set()
-        unique: list[tuple] = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        return unique
+        path pushdown avoids. Each partition is read once, from the replica
+        the coordinator would read, and filtered on its codes as the
+        engine's own scans are."""
+        rows: list[tuple] = []
+        for partition_id, hosts in self.soe.catalog.placement_of(self.table).items():
+            store = self.soe.data_nodes[hosts[partition_id % len(hosts)]].store
+            partition = store.partition(self.table, partition_id)
+            if not len(partition):  # never held a row: its columns have no type yet
+                continue
+            piece = Batch({name: partition.column(name) for name in partition.columns}, len(partition))
+            if self.filters:
+                masks = [partition.compare(column, op, value) for column, op, value in self.filters]
+                piece = piece.filter(np.logical_and.reduce(masks))
+            rows.extend(map(tuple, piece.rows()))
+        return Rdd.from_iterable(rows)
 
 
 def soe_table_rdd(soe: Any, table: str) -> SoeTableRdd:

@@ -38,6 +38,21 @@ class Literal(Expr):
         return str(self.value)
 
 
+def sql_literal(value: Any) -> str:
+    """``value`` written as SQL literal text — how a statement built from
+    values (a pushed-down remote filter, a proposed aging rule) spells it."""
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if hasattr(value, "isoformat"):
+        return f"DATE '{value.isoformat()}'"
+    escaped = str(value).replace("'", "''")
+    return f"'{escaped}'"
+
+
 @dataclass(frozen=True)
 class ColumnRef(Expr):
     """A (possibly qualified) column reference."""

@@ -8,33 +8,39 @@ optimizer to embrace the call to the external system."
 A :class:`CalcScenario` is a DAG of named nodes. Sources read tables or
 SQL; inner nodes filter, project, join, union, aggregate, run custom
 Python row functions, or invoke an external provider
-(:mod:`repro.engines.ml.rops`). :meth:`CalcScenario.optimize` performs the
-paper's "embrace": filters sitting on top of table sources are folded into
-the source's SQL, so *fewer rows ever reach the external operator* — the
-optimisation the quoted sentence is about.
+(:mod:`repro.engines.ml.rops`). The scenario builds core plan nodes:
+:meth:`CalcScenario.execute` runs the requested node's upstream graph as
+one :mod:`repro.sql.planner` tree, each Python or external operator an
+:class:`~repro.sql.planner.ExternalNode`, through
+:func:`repro.sql.executor.execute`. :meth:`CalcScenario.optimize` is the
+"embrace": a filter on a table source becomes that scan's predicate, so
+*fewer rows ever reach the external operator*.
 
-All nodes exchange ``(columns, rows)`` pairs; execution is topological and
-deterministic.
+In a plan every column is keyed ``n<i>.<name>``, ``n<i>`` being the calc
+node that named it, so the two sides of a join never collide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Sequence
 
-from repro.errors import PlanError
+from repro import obs
+from repro.analysis import plancheck
+from repro.errors import ColumnNotFoundError, PlanError
+from repro.sql import ast, executor, planner
+from repro.sql.parser import parse
 
 Relation = tuple[list[str], list[list[Any]]]
 RowFunction = Callable[[dict[str, Any]], dict[str, Any] | None]
+#: a calc node as a plan: the tree and its columns, as references to the
+#: batch keys ``n<i>.<name>`` (``None``: an external function names them
+#: when it runs)
+Planned = tuple[planner.PlanNode, "list[ast.ColumnRef] | None"]
 
-_OPS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+_AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
 @dataclass
@@ -54,308 +60,253 @@ class CalcScenario:
         self.name = name
         self.database = database
         self._nodes: dict[str, CalcNode] = {}
-        #: filled by execute(): rows flowing out of each node
+        #: filters optimize() folded into their table source: name -> source
+        self._folded: dict[str, str] = {}
+        #: filled by execute(): rows flowing out of each node that ran
         self.node_output_rows: dict[str, int] = {}
 
     # -- graph construction -------------------------------------------------
 
-    def _add(self, node: CalcNode) -> str:
-        if node.name in self._nodes:
-            raise PlanError(f"calc node {node.name!r} already exists")
-        for input_name in node.inputs:
+    def _add(self, name: str, kind: str, params: dict[str, Any], inputs: Sequence[str] = ()) -> str:
+        if name in self._nodes or name in self._folded:
+            raise PlanError(f"calc node {name!r} already exists")
+        inputs = [self._folded.get(input_name, input_name) for input_name in inputs]
+        for input_name in inputs:
             if input_name not in self._nodes:
-                raise PlanError(f"calc node {node.name!r} references unknown input {input_name!r}")
-        self._nodes[node.name] = node
-        return node.name
+                raise PlanError(f"calc node {name!r} references unknown input {input_name!r}")
+        self._nodes[name] = CalcNode(name, kind, params, inputs)
+        return name
 
     def table_source(self, name: str, table: str, columns: list[str] | None = None) -> str:
         """Read a catalog table (optionally a column subset)."""
-        return self._add(CalcNode(name, "table", {"table": table.lower(), "columns": columns}))
+        columns = [c.lower() for c in columns] if columns else None
+        return self._add(name, "table", {"table": table.lower(), "columns": columns, "filters": []})
 
     def sql_source(self, name: str, sql: str) -> str:
         """Read the result of an arbitrary SQL query."""
-        return self._add(CalcNode(name, "sql", {"sql": sql}))
+        return self._add(name, "sql", {"sql": sql})
 
     def filter(self, name: str, input_name: str, column: str, op: str, value: Any) -> str:
         """Simple predicate: column <op> literal (optimisable into sources)."""
-        if op not in _OPS:
+        if op not in _COMPARISONS:
             raise PlanError(f"unsupported calc filter operator {op!r}")
-        return self._add(
-            CalcNode(name, "filter", {"column": column.lower(), "op": op, "value": value}, [input_name])
-        )
+        return self._add(name, "filter", {"column": column.lower(), "op": op, "value": value}, [input_name])
 
     def project(self, name: str, input_name: str, columns: list[str]) -> str:
         """Keep (and order) a column subset."""
-        return self._add(
-            CalcNode(name, "project", {"columns": [c.lower() for c in columns]}, [input_name])
-        )
+        return self._add(name, "project", {"columns": [c.lower() for c in columns]}, [input_name])
 
     def python_operator(self, name: str, input_name: str, function: RowFunction) -> str:
         """A custom row-wise operator (returning None drops the row)."""
-        return self._add(CalcNode(name, "python", {"function": function}, [input_name]))
+        return self._add(name, "python", {"function": function}, [input_name])
 
     def external_operator(
-        self,
-        name: str,
-        input_name: str,
-        provider: Any,
-        function: str,
-        **parameters: Any,
+        self, name: str, input_name: str, provider: Any, function: str, **parameters: Any
     ) -> str:
         """Invoke an external analytics provider (the 'R' operator)."""
-        return self._add(
-            CalcNode(
-                name,
-                "external",
-                {"provider": provider, "function": function, "parameters": parameters},
-                [input_name],
-            )
-        )
+        params = {"provider": provider, "function": function, "parameters": parameters}
+        return self._add(name, "external", params, [input_name])
 
     def join(self, name: str, left: str, right: str, left_key: str, right_key: str) -> str:
         """Inner equi join of two nodes."""
-        return self._add(
-            CalcNode(
-                name,
-                "join",
-                {"left_key": left_key.lower(), "right_key": right_key.lower()},
-                [left, right],
-            )
-        )
+        keys = {"left_key": left_key.lower(), "right_key": right_key.lower()}
+        return self._add(name, "join", keys, [left, right])
 
     def union(self, name: str, inputs: list[str]) -> str:
         """Positional UNION ALL of several nodes."""
         if len(inputs) < 2:
             raise PlanError("union needs at least two inputs")
-        return self._add(CalcNode(name, "union", {}, list(inputs)))
+        return self._add(name, "union", {}, list(inputs))
 
     def aggregate(
-        self,
-        name: str,
-        input_name: str,
-        group_by: list[str],
-        aggregates: list[tuple[str, str | None]],
+        self, name: str, input_name: str, group_by: list[str], aggregates: list[tuple[str, str | None]]
     ) -> str:
         """Group-by aggregation (count/sum/min/max/avg)."""
-        return self._add(
-            CalcNode(
-                name,
-                "aggregate",
-                {
-                    "group_by": [c.lower() for c in group_by],
-                    "aggregates": [(op, col.lower() if col else None) for op, col in aggregates],
-                },
-                [input_name],
-            )
-        )
+        params = {
+            "group_by": [c.lower() for c in group_by],
+            "aggregates": [(op, col.lower() if col else None) for op, col in aggregates],
+        }
+        return self._add(name, "aggregate", params, [input_name])
 
     # -- the optimiser's "embrace" ----------------------------------------------
 
     def optimize(self) -> int:
-        """Fold filters over table sources into SQL sources.
+        """Fold each filter sitting on a table source that nothing else
+        reads — a filter folded before counts, since its name still
+        answers — into that source's scan predicate, which the scan then
+        evaluates on dictionary codes like any pushed-down WHERE.
 
-        Returns the number of filters embraced. After optimisation the
-        filtered rows never leave the relational engine — in particular
-        they are not shipped to external operators downstream.
+        Returns the number of filters folded. The rows they drop never
+        leave the scan, so they never reach an external operator
+        downstream. A folded filter's name resolves to its source.
         """
-        embraced = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in list(self._nodes.values()):
-                if node.kind != "filter":
-                    continue
-                source = self._nodes[node.inputs[0]]
-                consumers = [
-                    other
-                    for other in self._nodes.values()
-                    if node.inputs[0] in other.inputs and other is not node
-                ]
-                if consumers:
-                    continue  # the source feeds others unfiltered; keep as is
-                if source.kind == "table":
-                    columns = source.params["columns"]
-                    select_list = ", ".join(columns) if columns else "*"
-                    source.kind = "sql"
-                    source.params = {
-                        "sql": f"SELECT {select_list} FROM {source.params['table']}"
-                    }
-                if source.kind == "sql" and " where " not in source.params["sql"].lower():
-                    source.params["sql"] += (
-                        f" WHERE {node.params['column']} {node.params['op']} "
-                        f"{_sql_literal(node.params['value'])}"
-                    )
-                else:
-                    continue
-                # splice the filter out of the graph
-                for other in self._nodes.values():
-                    other.inputs = [
-                        source.name if input_name == node.name else input_name
-                        for input_name in other.inputs
-                    ]
-                del self._nodes[node.name]
-                embraced += 1
-                changed = True
-                break
-        return embraced
+        folded = 0
+        for node in [node for node in self._nodes.values() if node.kind == "filter"]:
+            source = self._nodes[node.inputs[0]]
+            readers = [other for other in self._nodes.values() if source.name in other.inputs]
+            column = node.params["column"]
+            if (
+                source.kind != "table"
+                or readers != [node]
+                or source.name in self._folded.values()
+                or column not in (source.params["columns"] or [column])
+            ):
+                continue
+            source.params["filters"].append((column, node.params["op"], node.params["value"]))
+            for other in self._nodes.values():
+                other.inputs = [source.name if i == node.name else i for i in other.inputs]
+            del self._nodes[node.name]
+            self._folded[node.name] = source.name
+            folded += 1
+        return folded
 
     # -- execution -----------------------------------------------------------------
 
     def execute(self, output: str) -> Relation:
-        """Run the scenario and return the named node's relation."""
-        if output not in self._nodes:
+        """Run the named node's upstream graph as one core plan and return
+        its relation."""
+        name = self._folded.get(output, output)
+        if name not in self._nodes:
             raise PlanError(f"unknown calc node {output!r}")
-        order = self._topological_order()
-        results: dict[str, Relation] = {}
-        for node in order:
-            results[node.name] = self._run_node(node, results)
-            self.node_output_rows[node.name] = len(results[node.name][1])
-        return results[output]
+        planned: dict[str, Planned] = {}
+        result: list[Relation] = []
 
-    def _topological_order(self) -> list[CalcNode]:
-        order: list[CalcNode] = []
-        state: dict[str, int] = {}
+        def deliver(keys: list[str], rows: list[list[Any]]) -> Relation:
+            result.append(([key.partition(".")[2] for key in keys], rows))
+            return [], []
 
-        def visit(name: str) -> None:
-            if state.get(name) == 1:
-                raise PlanError(f"calc scenario {self.name!r} has a cycle at {name!r}")
-            if state.get(name) == 2:
-                return
-            state[name] = 1
-            for input_name in self._nodes[name].inputs:
-                visit(input_name)
-            state[name] = 2
-            order.append(self._nodes[name])
+        # the answer leaves the engine the way an external operator's input does
+        root, refs = self._plan(name, planned)
+        sink = planner.ExternalNode(root, _keys(refs), deliver)
+        if plancheck.enabled():
+            plancheck.check_plan(sink, self.database.catalog)
+        context = self.database._context(None, None)
+        context.profiler = obs.QueryProfiler()
+        executor.execute(planner.QueryPlan(sink, []), context)
+        rows = {}  # the profile mirrors the plan tree
+        pending = [(sink, context.profiler.root)]
+        while pending:
+            node, profile = pending.pop()
+            rows[id(node)] = profile.rows
+            pending.extend(zip(node.children(), profile.children))
+        for calc_name, (plan, _refs) in planned.items():
+            self.node_output_rows[calc_name] = rows[id(plan)]
+        for calc_name, source in self._folded.items():
+            if source in planned:
+                self.node_output_rows[calc_name] = self.node_output_rows[source]
+        return result[0]
 
-        for name in self._nodes:
-            visit(name)
-        return order
+    def _plan(self, name: str, planned: dict[str, Planned]) -> Planned:
+        """The calc node as plan nodes over its inputs' plans (each planned
+        once, so a node feeding two others is one shared subtree)."""
+        if name not in planned:
+            node = self._nodes[name]
+            inputs = [self._plan(input_name, planned) for input_name in node.inputs]
+            planned[name] = self._plan_node(node, f"n{list(self._nodes).index(name)}", inputs)
+        return planned[name]
 
-    def _run_node(self, node: CalcNode, results: dict[str, Relation]) -> Relation:
+    def _plan_node(self, node: CalcNode, qualifier: str, inputs: list[Planned]) -> Planned:
+        params = node.params
+
+        def named(names: list[str]) -> list[ast.ColumnRef]:
+            return [ast.ColumnRef(name, qualifier) for name in names]
+
         if node.kind == "table":
-            columns = node.params["columns"]
-            select_list = ", ".join(columns) if columns else "*"
-            result = self.database.execute(f"SELECT {select_list} FROM {node.params['table']}")
-            return list(result.columns), result.rows
+            known = planner.CatalogView(self.database.catalog).columns_of(params["table"])
+            columns = params["columns"] or known
+            missing = [column for column in columns if column not in known]
+            if missing:
+                raise ColumnNotFoundError(params["table"], missing[0])
+            conjuncts = [
+                ast.BinaryOp(op, ast.ColumnRef(column, qualifier), ast.Literal(value))
+                for column, op, value in params["filters"]
+            ]
+            scan = planner.ScanNode(params["table"], qualifier, list(columns), ast.and_together(conjuncts))
+            return scan, named(columns)
         if node.kind == "sql":
-            result = self.database.execute(node.params["sql"])
-            return list(result.columns), result.rows
-        if node.kind == "filter":
-            columns, rows = results[node.inputs[0]]
-            position = columns.index(node.params["column"])
-            compare = _OPS[node.params["op"]]
-            value = node.params["value"]
-            kept = [
-                row for row in rows if row[position] is not None and compare(row[position], value)
-            ]
-            return columns, kept
-        if node.kind == "project":
-            columns, rows = results[node.inputs[0]]
-            positions = [columns.index(name) for name in node.params["columns"]]
-            return list(node.params["columns"]), [
-                [row[p] for p in positions] for row in rows
-            ]
-        if node.kind == "python":
-            columns, rows = results[node.inputs[0]]
-            function: RowFunction = node.params["function"]
-            out_rows: list[list[Any]] = []
-            out_columns: list[str] | None = None
-            for row in rows:
-                produced = function(dict(zip(columns, row)))
-                if produced is None:
-                    continue
-                if out_columns is None:
-                    out_columns = list(produced)
-                out_rows.append([produced[name] for name in out_columns])
-            return out_columns or columns, out_rows
-        if node.kind == "external":
-            columns, rows = results[node.inputs[0]]
-            provider = node.params["provider"]
-            operator = provider.operator(node.params["function"])
-            out_columns, out_rows = operator(columns, rows, **node.params["parameters"])
-            return out_columns, out_rows
-        if node.kind == "join":
-            left_columns, left_rows = results[node.inputs[0]]
-            right_columns, right_rows = results[node.inputs[1]]
-            left_pos = left_columns.index(node.params["left_key"])
-            right_pos = right_columns.index(node.params["right_key"])
-            build: dict[Any, list[list[Any]]] = {}
-            for row in right_rows:
-                if row[right_pos] is not None:
-                    build.setdefault(row[right_pos], []).append(row)
-            out = []
-            for row in left_rows:
-                for match in build.get(row[left_pos], ()):
-                    out.append(list(row) + list(match))
-            return left_columns + right_columns, out
+            statement = parse(params["sql"])
+            if not isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
+                raise PlanError(f"calc SQL source {node.name!r} is not a query")
+            plan = planner.plan_select(statement, self.database.catalog)
+            return planner.SubqueryScanNode(plan.root, qualifier, plan.output_names), named(plan.output_names)
         if node.kind == "union":
-            first_columns, _ = results[node.inputs[0]]
-            merged: list[list[Any]] = []
-            for input_name in node.inputs:
-                _cols, rows = results[input_name]
-                merged.extend(rows)
-            return first_columns, merged
+            if any(refs is None for _plan, refs in inputs):
+                raise PlanError(
+                    f"calc union {node.name!r} needs its inputs' columns before they run; "
+                    "a Python or external operator names its own only then"
+                )
+            if len({len(refs) for _plan, refs in inputs}) > 1:
+                raise PlanError(f"calc union {node.name!r} has inputs of different widths")
+            union = planner.UnionNode([plan for plan, _ in inputs], [_keys(refs) for _, refs in inputs], False)
+            return union, inputs[0][1]
+        if node.kind == "join":
+            (left, left_refs), (right, right_refs) = inputs
+            if left_refs is not None and right_refs is not None and not set(left_refs).isdisjoint(right_refs):
+                # one node's columns on both sides: re-key the right side's
+                renamed = [ast.ColumnRef(ref.name, f"{qualifier}_{i}") for i, ref in enumerate(right_refs)]
+                right = planner.ProjectNode(right, list(zip(right_refs, _keys(renamed))))
+                right_refs = renamed
+            equi = [(_ref(left_refs, params["left_key"]), _ref(right_refs, params["right_key"]))]
+            refs = None if left_refs is None or right_refs is None else left_refs + right_refs
+            return planner.JoinNode(left, right, "inner", equi), refs
+        ((child, refs),) = inputs
+        if node.kind == "filter":
+            predicate = ast.BinaryOp(params["op"], _ref(refs, params["column"]), ast.Literal(params["value"]))
+            return planner.FilterNode(child, predicate), refs
+        if node.kind == "project":
+            out = named(params["columns"])
+            return planner.ProjectNode(child, [(_ref(refs, r.name), str(r)) for r in out]), out
         if node.kind == "aggregate":
-            return _aggregate(results[node.inputs[0]], node.params)
-        raise PlanError(f"unknown calc node kind {node.kind!r}")
-
-
-def _aggregate(relation: Relation, params: dict[str, Any]) -> Relation:
-    columns, rows = relation
-    group_positions = [columns.index(name) for name in params["group_by"]]
-    specs = params["aggregates"]
-    value_positions = [columns.index(col) if col else None for _op, col in specs]
-    groups: dict[tuple, list[Any]] = {}
-    for row in rows:
-        key = tuple(row[p] for p in group_positions)
-        states = groups.get(key)
-        if states is None:
-            states = [
-                0 if op == "count" else [0.0, 0] if op == "avg" else None
-                for op, _col in specs
+            aggregates = params["aggregates"]
+            unknown = [op for op, _column in aggregates if op not in _AGGREGATES]
+            if unknown:
+                raise PlanError(f"unknown calc aggregate {unknown[0]!r}")
+            group = named(params["group_by"])
+            out = named([f"{op}_{column}" if column else op for op, column in aggregates])
+            calls = [
+                (ast.FunctionCall(op.upper(), (_ref(refs, column) if column else ast.Star(),)), str(ref))
+                for (op, column), ref in zip(aggregates, out)
             ]
-            groups[key] = states
-        for index, (op, _col) in enumerate(specs):
-            position = value_positions[index]
-            if op == "count" and position is None:
-                states[index] += 1
-                continue
-            value = row[position]
-            if value is None:
-                continue
-            if op == "count":
-                states[index] += 1
-            elif op == "sum":
-                states[index] = value if states[index] is None else states[index] + value
-            elif op == "avg":
-                states[index][0] += value
-                states[index][1] += 1
-            elif op == "min":
-                states[index] = value if states[index] is None or value < states[index] else states[index]
-            elif op == "max":
-                states[index] = value if states[index] is None or value > states[index] else states[index]
-            else:
-                raise PlanError(f"unknown calc aggregate {op!r}")
-    out_columns = list(params["group_by"]) + [
-        f"{op}_{col}" if col else op for op, col in specs
-    ]
-    out_rows = []
-    for key in sorted(groups, key=lambda k: tuple(map(repr, k))):
-        row = list(key)
-        for (op, _col), state in zip(specs, groups[key]):
-            row.append(state[0] / state[1] if op == "avg" and state[1] else None if op == "avg" else state)
-        out_rows.append(row)
-    return out_columns, out_rows
+            plan = planner.AggregateNode(child, [(_ref(refs, r.name), str(r)) for r in group], calls)
+            if group:  # groups in value order, NULLs last
+                plan = planner.SortNode(plan, [(str(r), True) for r in group])
+            return plan, group + out
+        if node.kind == "python":
+            run = _row_operator(params["function"])
+        else:
+            run = partial(params["provider"].operator(params["function"]), **params["parameters"])
+
+        def function(keys: list[str], rows: list[list[Any]]) -> Relation:
+            names, out_rows = run([key.partition(".")[2] for key in keys], rows)
+            return _keys(named(names)), out_rows
+
+        return planner.ExternalNode(child, _keys(refs), function), None
 
 
-def _sql_literal(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if hasattr(value, "isoformat"):
-        return f"DATE '{value.isoformat()}'"
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"
+def _keys(refs: list[ast.ColumnRef] | None) -> list[str] | None:
+    """The batch keys of qualified column references (``None`` stays)."""
+    return None if refs is None else [str(ref) for ref in refs]
+
+
+def _ref(refs: list[ast.ColumnRef] | None, column: str) -> ast.ColumnRef:
+    """The first column named ``column`` of a relation — or, when an
+    external function names the columns, the name, resolved when the plan
+    runs."""
+    if refs is None:
+        return ast.ColumnRef(column)
+    for ref in refs:
+        if ref.name == column:
+            return ref
+    raise ColumnNotFoundError("<calc node>", column)
+
+
+def _row_operator(function: RowFunction) -> Callable[[list[str], list[list[Any]]], Relation]:
+    """A row function over a relation: each row goes in as a dict, the
+    first dict returned names the output columns, ``None`` drops the row."""
+
+    def run(columns: list[str], rows: list[list[Any]]) -> Relation:
+        produced = [out for out in (function(dict(zip(columns, row))) for row in rows) if out is not None]
+        out_columns = list(produced[0]) if produced else columns
+        return out_columns, [[out[name] for name in out_columns] for out in produced]
+
+    return run

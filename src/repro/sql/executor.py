@@ -93,6 +93,7 @@ from repro.sql.expressions import (
     concat_columns,
     evaluate,
 )
+from repro.sql.functions import narrow_to_array
 from repro.sql.kernels import (
     as_coded,
     group_ids,
@@ -109,6 +110,7 @@ from repro.sql.kernels import (
 from repro.sql.planner import (
     AggregateNode,
     DistinctNode,
+    ExternalNode,
     FilterNode,
     JoinNode,
     LimitNode,
@@ -235,6 +237,22 @@ def _union(
     ]
     merged = Batch.concat(parts)
     return _distinct(merged) if node.distinct else merged
+
+
+def _external(
+    node: ExternalNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    (child,) = inputs
+    names = list(child.columns) if node.columns is None else node.columns
+    rows = Batch({name: child.columns[name] for name in names}, len(child)).rows()
+    out_names, out_rows = node.function(names, rows)
+    return Batch(
+        {
+            name: narrow_to_array([row[index] for row in out_rows])
+            for index, name in enumerate(out_names)
+        },
+        len(out_rows),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -634,8 +652,6 @@ def _scan_rowstore(node: ScanNode, table: Any, context: ExecutionContext) -> Bat
     columns: dict[str, np.ndarray] = {}
     for index, name in enumerate(names):
         values = [row[index] for row in rows]
-        from repro.sql.functions import narrow_to_array
-
         columns[f"{node.alias}.{name}"] = narrow_to_array(values)
     batch = Batch(columns, len(rows))
     context.bump("rows_scanned", len(rows))
@@ -1009,4 +1025,5 @@ OPERATORS: dict[type, Callable[[Any, list[Batch], ExecutionContext, int | None],
     DistinctNode: lambda node, inputs, context, top: _distinct(inputs[0]),
     LimitNode: _limit,
     UnionNode: _union,
+    ExternalNode: _external,
 }

@@ -48,7 +48,7 @@ Since PR 6 the planner is also **cost- and feedback-aware** (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.errors import PlanError, TableNotFoundError
@@ -194,6 +194,23 @@ class UnionNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return list(self.inputs)
+
+
+@dataclass
+class ExternalNode(PlanNode):
+    """Rows handed to a function outside the relational operators: a calc
+    scenario's Python or external (R) operator, "a special operator into
+    the internal data flow graph" (§II.B). ``function(names, rows)`` gets
+    the child's ``columns`` (all of them when ``None``) and returns
+    ``(names, rows)``, the node's output. Only the function knows those
+    names, so they are checked when it runs, not when the plan is."""
+
+    child: PlanNode
+    columns: list[str] | None
+    function: Callable[[list[str], list[list[Any]]], tuple[list[str], list[list[Any]]]]
+
+    def children(self) -> list[PlanNode]:
+        return [self.child]
 
 
 @dataclass

@@ -26,6 +26,7 @@ from repro.sql import plancache
 from repro.sql.lexer import shape
 from repro.sql.parser import parse
 from repro.sql.planner import (
+    ExternalNode,
     LimitNode,
     PlanNode,
     ProjectNode,
@@ -218,6 +219,17 @@ def test_unknown_node_type_fails_charge_coverage(database):
     with pytest.raises(PlanCheckError) as exc:
         check_plan(RogueNode())
     assert "RogueNode" in str(exc.value)
+
+
+def test_an_external_node_checks_what_it_hands_over_and_names_its_output_at_run_time(database):
+    scan = plan_of("SELECT a, b FROM t", database).root
+    (scan,) = find(scan, ScanNode)
+    external = ExternalNode(scan, [f"{scan.alias}.a"], lambda names, rows: (["z"], rows))
+    above = ProjectNode(external, [(sql_ast.ColumnRef("z"), "z")])
+    assert verify_plan(above, database.catalog) == []
+    external.columns = [f"{scan.alias}.ghost"]
+    findings = verify_plan(above, database.catalog)
+    assert [f.node for f in findings] == ["ExternalNode"] and "ghost" in findings[0].message
 
 
 # -- corruption 7: the tokens a text key binds disagree with the entry's slots -----

@@ -209,3 +209,23 @@ def test_replay_of_keyed_deletes_looks_rows_up_by_key(tmp_path, monkeypatch, sav
     assert sum(materialised) <= 2 * touched + table_rows
     with pytest.raises(DuplicateKeyError):  # the recovered table still enforces its key
         recovered.execute("INSERT INTO t VALUES (0, 0.0, 'again')")
+
+
+def test_replay_of_a_large_delete_is_linear(tmp_path):
+    """Recovery matches a logged DELETE's rows through a multiset: 8 000
+    deleted rows at the end of a 20 000-row keyless table replay in about
+    0.1 s (2 cores, CPython 3.11); a list scan per row took over 3 s."""
+    import time
+
+    database = Database(data_dir=tmp_path)
+    database.execute("CREATE TABLE t (a INT, b VARCHAR)")
+    values = ", ".join(f"({i}, 'v{i % 7}')" for i in range(20000))
+    database.execute(f"INSERT INTO t VALUES {values}")
+    database.execute("DELETE FROM t WHERE a >= 12000")
+    database.persistence.close()
+
+    started = time.perf_counter()
+    recovered = Database(data_dir=tmp_path)
+    elapsed = time.perf_counter() - started
+    assert recovered.execute("SELECT COUNT(*), MAX(a) FROM t").rows == [[12000, 11999]]
+    assert elapsed < 1.0, f"reopen took {elapsed:.2f} s"

@@ -125,3 +125,18 @@ def test_hana_adapter_pushes_down_date_filters(remote):
     adapter = HanaAdapter("erp2", remote)
     rows = adapter.scan("events", [("d", ">=", dt.date(2015, 1, 1))])
     assert rows == [[2, dt.date(2015, 6, 1)]]
+
+
+def test_virtual_table_over_a_replicated_soe_table_counts_every_row():
+    from repro.soe.engine import SoeEngine
+
+    soe = SoeEngine(node_count=2, replication=2)
+    soe.create_table("t", ["k", "v"], ["k"], partition_count=4)
+    soe.load("t", [[1, "a"], [1, "a"], [2, "b"], [3, "c"]])
+    [[count]], _cost = soe.aggregate("t", aggregates=[("count", None)])
+    local = Database()
+    access = SmartDataAccess(local)
+    access.register_source(SoeAdapter("soe", soe))
+    access.create_virtual_table("v_t", "soe", "t")
+    assert local.query("SELECT COUNT(*) FROM v_t").scalar() == count == 4
+    assert local.query("SELECT COUNT(*) FROM v_t WHERE v = 'a'").scalar() == 2

@@ -65,3 +65,18 @@ def test_soe_rdd_rows_deduplicate_replicas():
     soe.load("t", [[i] for i in range(50)])
     rows = soe_table_rdd(soe, "t").rows().collect()
     assert len(rows) == 50
+
+
+def test_soe_rdd_rows_read_each_partition_once():
+    """Replicas are copies, not duplicates: equal rows all come back, as
+    many as the engine counts."""
+    from repro.soe.engine import SoeEngine
+
+    soe = SoeEngine(node_count=2, replication=2)
+    soe.create_table("t", ["k", "v"], ["k"], partition_count=4)
+    soe.load("t", [[1, "a"], [1, "a"], [2, "b"], [3, "c"]])
+    [[count]], _cost = soe.aggregate("t", aggregates=[("count", None)])
+    rows = soe_table_rdd(soe, "t").rows().collect()
+    assert sorted(rows) == [(1, "a"), (1, "a"), (2, "b"), (3, "c")]
+    assert len(rows) == count == 4
+    assert soe_table_rdd(soe, "t").filter("v", "=", "a").rows().count() == 2

@@ -120,3 +120,113 @@ def test_sql_source(db):
     columns, rows = scenario.execute("top")
     assert columns == ["region", "total"]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "sql, column, op, value",
+    [
+        ("SELECT region, SUM(x) AS total FROM sales GROUP BY region", "total", ">", 2.5),
+        ("SELECT region, x FROM sales ORDER BY x LIMIT 2", "x", ">", 0.5),
+        ("SELECT x AS somewhere, y FROM sales", "somewhere", "<", 3),
+    ],
+)
+def test_optimize_keeps_the_answer_over_sql_sources(db, sql, column, op, value):
+    def build():
+        scenario = CalcScenario("s", db)
+        scenario.sql_source("src", sql)
+        scenario.filter("f", "src", column, op, value)
+        scenario.project("out", "f", [column])
+        return scenario
+
+    expected = build().execute("out")
+    assert expected[1]  # the filter keeps something
+    scenario = build()
+    scenario.optimize()
+    assert scenario.execute("out") == expected
+    assert scenario.execute("f") == build().execute("f")
+
+
+def test_a_folded_filter_still_answers_by_name(db):
+    def build():
+        scenario = CalcScenario("s", db)
+        scenario.table_source("src", "sales", columns=["region", "x"])
+        scenario.filter("eu", "src", "region", "=", "EU")
+        scenario.filter("small", "eu", "x", "<", 10.0)
+        return scenario
+
+    expected = build().execute("small")
+    scenario = build()
+    assert scenario.optimize() == 1  # "eu" still answers, so "small" stays a filter over it
+    assert scenario.execute("small") == expected
+    assert scenario.execute("eu") == build().execute("eu")
+    assert scenario.node_output_rows["eu"] == scenario.node_output_rows["src"] == 20
+    assert scenario.node_output_rows["small"] == 5
+    scenario.project("xs", "small", ["x"])  # a folded name also resolves as an input
+    assert scenario.execute("xs") == (["x"], [[0.0], [2.0], [4.0], [6.0], [8.0]])
+
+
+def test_each_node_kind_agrees_with_sql(db):
+    """Every relational node kind answers what the same question asked
+    through SQL answers (as a multiset: SQL may reorder the join)."""
+    db.execute("CREATE TABLE regions (code VARCHAR, continent VARCHAR)")
+    db.execute("INSERT INTO regions VALUES ('EU', 'Europe'), ('US', 'America')")
+    scenario = CalcScenario("s", db)
+    scenario.table_source("sales_src", "sales")
+    scenario.table_source("dim", "regions")
+    scenario.sql_source("big", "SELECT region, x FROM sales WHERE x >= 30")
+    scenario.filter("eu", "sales_src", "region", "=", "EU")
+    scenario.project("xy", "eu", ["y", "x"])
+    scenario.join("joined", "sales_src", "dim", "region", "code")
+    scenario.union("both", ["big", "big"])
+    scenario.aggregate(
+        "agg",
+        "joined",
+        ["continent"],
+        [("count", None), ("sum", "x"), ("avg", "y"), ("min", "x"), ("max", "y"), ("count", "x")],
+    )
+    questions = {
+        "sales_src": "SELECT * FROM sales",
+        "big": "SELECT region, x FROM sales WHERE x >= 30",
+        "eu": "SELECT * FROM sales WHERE region = 'EU'",
+        "xy": "SELECT y, x FROM sales WHERE region = 'EU'",
+        "joined": "SELECT s.region, x, y, code, continent "
+        "FROM sales s JOIN regions r ON s.region = r.code",
+        "both": "SELECT region, x FROM sales WHERE x >= 30 "
+        "UNION ALL SELECT region, x FROM sales WHERE x >= 30",
+        "agg": "SELECT continent, COUNT(*), SUM(x), AVG(y), MIN(x), MAX(y), COUNT(x) "
+        "FROM sales JOIN regions ON region = code GROUP BY continent ORDER BY continent",
+    }
+    for name, sql in questions.items():
+        _columns, rows = scenario.execute(name)
+        assert sorted(rows, key=repr) == sorted(db.execute(sql).rows, key=repr), name
+
+
+def test_aggregate_groups_come_out_in_value_order_nulls_last(db):
+    db.execute("CREATE TABLE g (k INT, v INT)")
+    db.execute("INSERT INTO g VALUES (10, 1), (2, 2), (NULL, 3), (10, 4)")
+    scenario = CalcScenario("s", db)
+    scenario.table_source("src", "g")
+    scenario.aggregate("agg", "src", ["k"], [("count", None)])
+    assert scenario.execute("agg") == (["k", "count"], [[2, 1], [10, 2], [None, 1]])
+
+
+def test_relational_nodes_over_operators_that_name_their_columns_when_they_run(db):
+    scenario = CalcScenario("s", db)
+    scenario.table_source("src", "sales")
+    scenario.python_operator(
+        "big", "src", lambda row: {"region": row["region"], "z": row["x"] * 10} if row["x"] > 35 else None
+    )
+    scenario.filter("f", "big", "z", ">", 370.0)
+    scenario.aggregate("agg", "big", ["region"], [("sum", "z")])
+    scenario.join("self", "src", "src", "x", "x")  # one node's columns on both sides
+    scenario.join("mixed", "f", "src", "region", "region")
+    assert scenario.execute("f") == (["region", "z"], [["EU", 380.0], ["US", 390.0]])
+    assert scenario.execute("agg") == (["region", "sum_z"], [["EU", 740.0], ["US", 760.0]])
+    columns, rows = scenario.execute("self")
+    assert columns == ["region", "x", "y"] * 2 and len(rows) == 40
+    assert all(row[:3] == row[3:] for row in rows)
+    columns, rows = scenario.execute("mixed")
+    assert columns == ["region", "z", "region", "x", "y"] and len(rows) == 40
+    scenario.union("twice", ["big", "big"])
+    with pytest.raises(PlanError):  # a union needs its inputs' columns up front
+        scenario.execute("twice")
