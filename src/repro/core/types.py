@@ -162,9 +162,10 @@ def _canonical_integer(dtype: DataType, kinds: set[type], values: list[Any]) -> 
 def _canonical_double(dtype: DataType, kinds: set[type], values: list[Any]) -> bool:
     if kinds != {float} or (dtype.code is TypeCode.DECIMAL and dtype.scale is not None):
         return False
-    # a NaN makes the sum NaN (so may an inf meeting a -inf: then the
-    # per-value path just finds no NaN)
-    return not math.isnan(sum(_non_null(values)))
+    # a NaN makes the sum NaN; so does an inf meeting a -inf, which a
+    # look at the values themselves tells apart
+    present = _non_null(values)
+    return not math.isnan(sum(present)) or not any(value != value for value in present)
 
 
 def _canonical_varchar(dtype: DataType, kinds: set[type], values: list[Any]) -> bool:
