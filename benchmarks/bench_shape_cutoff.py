@@ -9,10 +9,10 @@ as it comes. This measures what that cutoff trades, for an INSERT of
 * ``shape_us`` — the regex pass that yields the key and the values;
 * ``parse_us`` — lex + parse: what a hit saves;
 * ``record_us`` — what caching adds to a miss's parse: the parser's
-  literal sources, ``collect_literals``, the template and its slot spine,
-  the seal and ``verify_entry``;
+  literal sources, ``collect_literals``, the template, the plan and its
+  slot spine, the seal and ``verify_entry``;
 * ``hit_us`` — a hit with other values: shape + bind + the substitution
-  copy of the cached statement;
+  copy of the cached plan;
 * ``entry_kb`` — what the cached entry keeps alive.
 
 Every column grows linearly with the literal count, so a text that
@@ -41,8 +41,10 @@ sys.path.insert(0, str(_REPO_ROOT / "benchmarks"))
 
 import reporting  # noqa: E402
 from repro.analysis import plancheck  # noqa: E402
+from repro.core.database import Database  # noqa: E402
 from repro.sql import lexer, plancache  # noqa: E402
 from repro.sql.parser import parse  # noqa: E402
+from repro.sql.planner import plan_select  # noqa: E402
 
 #: INSERT sizes measured; 64 rows is the cutoff (256 literals), 4 000 rows E1's load
 ROWS = (1, 4, 16, 64, 250, 1000, 4000)
@@ -66,16 +68,25 @@ def shape_of(text: str) -> tuple[str, list[Any]]:
     return shaped
 
 
+#: E1's orders table, which the INSERT is planned against
+E1 = Database()
+E1.execute("CREATE TABLE orders (id INT PRIMARY KEY, customer INT, amount DOUBLE, status VARCHAR)")
+
+
 def record(text: str, values: list[Any]) -> plancache.PlanEntry:
-    """A miss that caches: ``Database._remember`` for a DML statement."""
+    """A miss that caches: ``Database._remember`` and ``_plan_template``
+    for an INSERT — its parse, planned, sealed and verified."""
     sources: list[Any] = []
     statement = parse(text, sources)
     slots = plancache.collect_literals(statement)
     template = plancache.record_template(statement, slots, sources, values)
     assert template is not None
-    entry = plancache.PlanEntry(plan=None, slots=slots, tables=frozenset(), template=template)
+    plan = plan_select(statement, E1.catalog)
+    entry = plancache.PlanEntry(
+        plan=plan, slots=slots, tables=plancache.plan_tables(plan.root), versions=None, template=template
+    )
     entry.seal = plancheck.entry_seal(entry)
-    assert not plancheck.verify_entry(entry)
+    assert not plancheck.verify_entry(entry, catalog=E1.catalog)
     return entry
 
 
@@ -113,7 +124,7 @@ def measure(rows: int) -> dict[str, float]:
 
     def hit() -> None:
         shape_of(other)
-        template.statement_for(template.bind(other_values))
+        plancache.bind_plan(entry, template.bind(other_values))
 
     # a miss that caches against one that does not, run in alternation:
     # the median difference is the recording

@@ -31,11 +31,11 @@ the upcoming compiled pipelines — silently relies on:
 Wiring (same pattern as :mod:`repro.analysis.lockcheck` /
 :mod:`repro.analysis.racecheck`):
 
-* ``Database._cache_plan`` verifies every entry at plan-cache insert and
+* ``Database._cache_entry`` verifies every entry at plan-cache insert and
   refuses to cache a plan that fails (``sql.plancheck.rejected``);
 * ``REPRO_PLANCHECK=1`` turns the soft reject into a hard
   :class:`PlanCheckError` and additionally verifies every freshly
-  planned query and every cache-hit binding — the autouse fixture in
+  planned statement and every cache-hit binding — the autouse fixture in
   ``tests/conftest.py`` runs the whole suite this way in CI;
 * ``python -m tools.analyze --plan-corpus`` verifies the plan corpus of
   a seeded query generator (:mod:`repro.workloads.querygen`).
@@ -54,6 +54,8 @@ from repro.errors import PlanError, TableNotFoundError
 from repro.sql import ast
 from repro.sql import plancache
 from repro.sql.planner import (
+    ROW_ORDINAL,
+    ROW_POSITION,
     AggregateNode,
     DistinctNode,
     ExternalNode,
@@ -67,6 +69,8 @@ from repro.sql.planner import (
     SortNode,
     SubqueryScanNode,
     UnionNode,
+    ValuesNode,
+    WriteNode,
 )
 
 __all__ = [
@@ -187,6 +191,11 @@ CHARGE_POINTS: dict[str, str] = {
         "hands charged input to a function outside the engine; its output "
         "is the function's, which no governor can bound"
     ),
+    "ValuesNode": "the statement's own rows; no table is read",
+    "WriteNode": (
+        "writes run without a governor; one output row per row written, "
+        "bounded by its input"
+    ),
 }
 
 
@@ -243,19 +252,17 @@ def _check_expr(
             )
 
 
+def _catalog_table(catalog: Any, table: str) -> Any:
+    """The catalog's table object named ``table``; None when unknown."""
+    if catalog is None or not catalog.has_table(table):
+        return None
+    return catalog.table(table)
+
+
 def _catalog_columns(catalog: Any, table: str) -> set[str] | None:
-    """Lower-cased catalog columns of ``table``; None when unknown.
-    Accepts both a raw Catalog and a planner CatalogView."""
-    if catalog is None:
-        return None
-    if hasattr(catalog, "columns_of"):  # planner.CatalogView
-        try:
-            return set(catalog.columns_of(table))
-        except TableNotFoundError:
-            return None
-    if not catalog.has_table(table):
-        return None
-    return {name.lower() for name in catalog.table(table).schema.column_names}
+    """Lower-cased catalog columns of ``table``; None when unknown."""
+    found = _catalog_table(catalog, table)
+    return None if found is None else {name.lower() for name in found.schema.column_names}
 
 
 def _scan_outputs(node: ScanNode, catalog: Any, findings: list[PlanFinding]) -> set[str]:
@@ -273,7 +280,38 @@ def _scan_outputs(node: ScanNode, catalog: Any, findings: list[PlanFinding]) -> 
                     f"catalog does not define (have {sorted(known)})",
                 )
             )
-    return {f"{node.alias.lower()}.{column.lower()}" for column in node.columns}
+    row_ids = (ROW_ORDINAL, ROW_POSITION) if node.row_ids else ()
+    return {f"{node.alias.lower()}.{column.lower()}" for column in [*node.columns, *row_ids]}
+
+
+def _check_write(node: WriteNode, available: set[str], catalog: Any, findings: list[PlanFinding]) -> None:
+    """The target columns exist, and the child emits what the write reads:
+    the columns an INSERT fills, or an UPDATE's or DELETE's row ids."""
+    known = _catalog_columns(catalog, node.table)
+    # a flexible table creates the new columns an INSERT names when it runs
+    flexible = getattr(_catalog_table(catalog, node.table), "flexible", False)
+
+    def finding(message: str) -> None:
+        findings.append(PlanFinding("schema", "WriteNode", message))
+
+    if node.kind == "insert":
+        fills = node.columns if node.columns is not None else sorted(known or ())
+        for column in fills:
+            if known is not None and column not in known and not flexible:
+                finding(f"inserts into column {column!r} the target {node.table} does not have")
+            if column not in available:
+                finding(f"fills column {column!r} its child does not emit (emits {sorted(available)})")
+        return
+    for key in (f"{node.table}.{ROW_ORDINAL}", f"{node.table}.{ROW_POSITION}"):
+        if key not in available:
+            finding(f"{node.kind} needs row id {key!r} its child does not emit")
+    if known is None:
+        return
+    stored = {f"{node.table}.{column}" for column in known}
+    for column, expr in node.assignments:
+        if column not in known:
+            finding(f"assigns column {column!r} the target {node.table} does not have")
+        _check_expr(expr, stored, node, f"assignment to {column!r}", findings)
 
 
 def _node_outputs(
@@ -282,7 +320,11 @@ def _node_outputs(
     """Bottom-up schema walk: verify the node, return its output columns."""
     if isinstance(node, ScanNode):
         available = _scan_outputs(node, catalog, findings)
-        _check_expr(node.predicate, available, node, "scan predicate", findings)
+        readable = available
+        if node.row_ids:  # a write's scan: its predicate reads the stored rows
+            known = _catalog_columns(catalog, node.table) or set()
+            readable = available | {f"{node.alias.lower()}.{column}" for column in known}
+        _check_expr(node.predicate, readable, node, "scan predicate", findings)
         return available
     if isinstance(node, SubqueryScanNode):
         inner = _node_outputs(node.plan, catalog, findings)
@@ -407,6 +449,16 @@ def _node_outputs(
                     )
                 )
         return _RUN_TIME
+    if isinstance(node, ValuesNode):
+        for index, row in enumerate(node.rows):
+            if len(row) != len(node.columns):
+                findings.append(PlanFinding("schema", "ValuesNode", f"row {index} is not {len(node.columns)} wide"))
+            for cell in row:  # a cell reads no column
+                _check_expr(cell, set(), node, f"row {index}", findings)
+        return set(node.columns)
+    if isinstance(node, WriteNode):
+        _check_write(node, _node_outputs(node.child, catalog, findings), catalog, findings)
+        return set()
     # an unknown node type is reported by the charge-coverage pass; emit
     # nothing so parents fail loudly rather than on a guessed schema
     return set()
@@ -580,17 +632,14 @@ def _check_token_slots(entry: Any, findings: list[PlanFinding]) -> None:
 
 def verify_entry(
     entry: Any,
-    statement: "ast.SelectStatement | ast.UnionStatement | None" = None,
+    statement: "ast.Statement | None" = None,
     catalog: Any = None,
 ) -> list[PlanFinding]:
-    """Cache-safety verification of a :class:`~repro.sql.plancache.PlanEntry`
-    (plus a full plan verification of the frozen plan itself, when the
-    entry holds one — a DML entry is only a parse)."""
-    findings: list[PlanFinding] = []
-    if entry.plan is not None:
-        findings = verify_plan(entry.plan, catalog)
-        graph = list(_iter_graph(entry.plan))  # one walk for aliasing and reachability
-        _check_aliasing(graph, findings)
+    """Cache-safety verification of a :class:`~repro.sql.plancache.PlanEntry`,
+    plus a full plan verification of the frozen plan itself."""
+    findings = verify_plan(entry.plan, catalog)
+    graph = list(_iter_graph(entry.plan))  # one walk for aliasing and reachability
+    _check_aliasing(graph, findings)
     if getattr(entry, "template", None) is not None:
         _check_token_slots(entry, findings)
     if statement is not None:
@@ -604,8 +653,6 @@ def verify_entry(
                     f"carries {len(fresh)} literal(s)",
                 )
             )
-    if entry.plan is None:
-        return findings
     reachable = {id(obj) for obj in graph}
     for index, slot in enumerate(entry.slots):
         if id(slot) not in reachable:
@@ -621,13 +668,9 @@ def verify_entry(
     return findings
 
 
-def verify_binding(
-    entry: Any,
-    bound: Any,
-    statement: "ast.SelectStatement | ast.UnionStatement",
-) -> list[PlanFinding]:
-    """Verify one cache hit's binding: the bound plan — or, for a DML
-    entry, the bound statement — against the frozen entry.
+def verify_binding(entry: Any, bound: Any, statement: "ast.Statement") -> list[PlanFinding]:
+    """Verify one cache hit's binding: the bound plan against the frozen
+    entry, ``statement`` being the statement it is the plan of.
 
     Proves the frozen entry was not mutated (slot-value seal), that every
     changed literal was actually replaced in the bound copy, and that the
@@ -635,8 +678,6 @@ def verify_binding(
     changed literal (the PR 6 frozen-plan invariant).
     """
     frozen = entry.plan
-    if frozen is None and getattr(entry, "template", None) is not None:
-        frozen = entry.template.statement
     findings: list[PlanFinding] = []
     seal = getattr(entry, "seal", None)
     if seal is not None and entry_seal(entry) != seal:

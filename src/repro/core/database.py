@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from repro import obs
 from repro.analysis import plancheck
 from repro.columnstore.merge import MergeStats, merge_table
@@ -35,25 +33,15 @@ from repro.sql import ast
 from repro.sql import plancache
 from repro.sql.context import ExecutionContext
 from repro.sql.executor import execute as execute_plan
-from repro.sql.executor import access_path, filter_positions
-from repro.sql.expressions import Batch, evaluate, python_values
+from repro.sql.expressions import evaluate  # noqa: F401 - benchmarks/harness/trace.py patches it here
 from repro.sql.feedback import CardinalityFeedback, ReplanSignal
 from repro.sql.functions import FunctionRegistry
 from repro.sql.lexer import shape
 from repro.sql.parser import parse
-from repro.sql.planner import QueryPlan, plan_select
+from repro.sql.planner import PLANNED_STATEMENTS, QueryPlan, WriteNode, plan_select
 from repro.transaction.manager import Transaction, TransactionManager
 
 PruningHook = Callable[[ColumnTable, list[ast.Expr], ExecutionContext], set[int] | None]
-
-#: the statements the plan cache holds a parse of
-_CACHED_STATEMENTS = (
-    ast.SelectStatement,
-    ast.UnionStatement,
-    ast.InsertStatement,
-    ast.UpdateStatement,
-    ast.DeleteStatement,
-)
 
 #: simulated optimizer cost charged to the query budget per re-planning pass
 REPLAN_PLANNING_SECONDS = 0.005
@@ -179,9 +167,8 @@ class Database:
 
         Through the plan cache (docs/OPTIMIZER.md), a statement whose text
         shape (:func:`repro.sql.lexer.shape`) was seen before is neither
-        lexed nor parsed: its literal values are bound into the cached
-        parse of a DML statement, or straight into the cached plan of a
-        query.
+        lexed nor parsed: its literal values are bound straight into the
+        cached plan.
         """
         shaped = shape(sql) if self.plan_cache_enabled else None
         if shaped is None:
@@ -193,24 +180,21 @@ class Database:
             statement = parse(sql, sources)
             if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
                 self.plan_cache.miss()
-            entry = self._remember(key, statement, sources, values)
+            entry = self._remember(statement, sources, values)
             if entry is None:
                 return self.execute_statement(statement, txn, parameters, budget)
         template = entry.template
         assert template is not None  # every entry keyed by text has one
         mapping = template.bind(values)
-        if not template.is_query:
-            statement = template.statement_for(mapping)
-            if plancheck.enabled():
-                self._verify_binding(entry, statement, statement)
-            return self.execute_statement(statement, txn, parameters, budget)
         if entry.plan is None:
             plan = self._plan_template(key, entry.slots, template, mapping)
         else:
             plan = plancache.bind_plan(entry, mapping)
-            if plancheck.enabled():
-                self._verify_binding(entry, plan, template.statement_for(mapping))
-        return self._execute_select(
+            if plancheck.enabled():  # the binding left the cached entry intact
+                findings = plancheck.verify_binding(entry, plan, template.statement_for(mapping))
+                if findings:
+                    raise plancheck.PlanCheckError(findings)
+        return self._run(
             plan,
             lambda: self._plan_template(key, entry.slots, template, mapping),
             txn,
@@ -225,16 +209,10 @@ class Database:
         parameters: Mapping[str, Any] | None = None,
         budget: Any = None,
     ) -> QueryResult:
-        if isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
-            return self._execute_select(
+        if isinstance(statement, PLANNED_STATEMENTS):
+            return self._run(
                 self._plan(statement), lambda: self._plan(statement), txn, parameters, budget
             )
-        if isinstance(statement, ast.InsertStatement):
-            return self._autocommit(statement, txn, self._execute_insert, parameters)
-        if isinstance(statement, ast.UpdateStatement):
-            return self._autocommit(statement, txn, self._execute_update, parameters)
-        if isinstance(statement, ast.DeleteStatement):
-            return self._autocommit(statement, txn, self._execute_delete, parameters)
         if isinstance(statement, ast.CreateTableStatement):
             return self._execute_create(statement)
         if isinstance(statement, ast.DropTableStatement):
@@ -265,23 +243,16 @@ class Database:
         merged = dict(self.parameters)
         if parameters:
             merged.update(parameters)
-        if txn is not None:
-            return ExecutionContext(
-                database=self,
-                snapshot_cid=txn.snapshot_cid,
-                own_tid=txn.tid,
-                functions=self.functions,
-                parameters=merged,
-            )
         return ExecutionContext(
             database=self,
-            snapshot_cid=self.txn_manager.last_committed_cid,
-            own_tid=0,
+            snapshot_cid=self.txn_manager.last_committed_cid if txn is None else txn.snapshot_cid,
+            own_tid=0 if txn is None else txn.tid,
+            txn=txn,
             functions=self.functions,
             parameters=merged,
         )
 
-    def _plan(self, statement: "ast.SelectStatement | ast.UnionStatement") -> QueryPlan:
+    def _plan(self, statement: ast.Statement) -> QueryPlan:
         """Plan a statement the plan cache does not hold."""
         with obs.latency("sql.plan_seconds"):
             plan = plan_select(statement, self.catalog, feedback=self.feedback)
@@ -290,26 +261,20 @@ class Database:
         return plan
 
     def _remember(
-        self, key: str, statement: ast.Statement, sources: list[Any], values: list[Any]
+        self, statement: ast.Statement, sources: list[Any], values: list[Any]
     ) -> plancache.PlanEntry | None:
-        """The entry for a statement just parsed from a new text shape.
-
-        A DML entry is cached at once; a query's is cached by
-        :meth:`_plan_template` together with its plan. ``None``: the
+        """The parse of a statement just read from a new text shape, as an
+        entry :meth:`_plan_template` plans and caches. ``None``: the
         statement is not cached (DDL, or a text whose literal tokens the
         shape pass does not line up with the parser's).
         """
-        if not isinstance(statement, _CACHED_STATEMENTS):
+        if not isinstance(statement, PLANNED_STATEMENTS):
             return None
         slots = plancache.collect_literals(statement)
         template = plancache.record_template(statement, slots, sources, values)
         if template is None:
             return None
-        entry = plancache.PlanEntry(plan=None, slots=slots, tables=frozenset(), template=template)
-        if template.is_query:
-            return entry
-        entry.seal = plancheck.entry_seal(entry)
-        return entry if self._cache_entry(key, entry) else None
+        return plancache.PlanEntry(plan=None, slots=slots, tables=frozenset(), template=template)
 
     def _plan_template(
         self,
@@ -318,13 +283,15 @@ class Database:
         template: plancache.Template,
         mapping: dict[int, ast.Literal],
     ) -> QueryPlan:
-        """Plan a cached query parse, cache the plan, and bind ``mapping``.
+        """Plan a cached parse, cache the plan, and bind ``mapping``.
 
         The plan of the cached parse serves every statement of its shape
         with its own values bound — what every cache hit relies on, and
         what :func:`repro.analysis.plancheck.verify_entry` proves before
         the plan is cached. A plan that fails it is not cached, and a
-        statement with other values is then planned as itself.
+        statement with other values is then planned as itself. A query's
+        entry snapshots the feedback versions it was planned under; a
+        write is planned without feedback and snapshots none.
         """
         with obs.latency("sql.plan_seconds"):
             plan = plan_select(template.statement, self.catalog, feedback=self.feedback)
@@ -333,7 +300,7 @@ class Database:
             plan=plan,
             slots=slots,
             tables=tables,
-            versions=self.feedback.versions(tables),
+            versions=self.feedback.versions(tables) if template.is_query else None,
             template=template,
         )
         entry.seal = plancheck.entry_seal(entry)
@@ -359,13 +326,7 @@ class Database:
         self.plan_cache.put(key, entry)
         return True
 
-    def _verify_binding(self, entry: plancache.PlanEntry, bound: Any, statement: ast.Statement) -> None:
-        """``REPRO_PLANCHECK``: a hit's binding left the cached entry intact."""
-        findings = plancheck.verify_binding(entry, bound, statement)
-        if findings:
-            raise plancheck.PlanCheckError(findings)
-
-    def _execute_select(
+    def _run(
         self,
         plan: QueryPlan,
         replan: Callable[[], QueryPlan],
@@ -373,8 +334,12 @@ class Database:
         parameters: Mapping[str, Any] | None,
         budget: Any = None,
     ) -> QueryResult:
-        """Run a planned query; ``replan`` plans it afresh when the
-        executor asks for a mid-query re-optimization."""
+        """Run a plan. A write runs as :meth:`_write` does. A query may be
+        governed by ``budget``, records its cardinalities as feedback, and
+        ``replan`` plans it afresh when the executor asks for a mid-query
+        re-optimization."""
+        if isinstance(plan.root, WriteNode):
+            return self._write(plan, txn, parameters)[0]
         with obs.latency("sql.select_seconds"):
             context = self._context(txn, parameters)
             context.feedback = self.feedback
@@ -405,16 +370,13 @@ class Database:
                     plan = replan()
             if reoptimizations:
                 context.bump("reoptimizations", reoptimizations)
-            if governor is not None and governor.degraded:
-                return QueryResult(
-                    plan.output_names,
-                    batch.rows(),
-                    degraded=True,
-                    degraded_reasons=list(governor.degraded_reasons),
-                    reoptimizations=reoptimizations,
-                )
+            degraded = governor is not None and governor.degraded
             return QueryResult(
-                plan.output_names, batch.rows(), reoptimizations=reoptimizations
+                plan.output_names,
+                batch.rows(),
+                degraded=degraded,
+                degraded_reasons=list(governor.degraded_reasons) if degraded else None,
+                reoptimizations=reoptimizations,
             )
 
     def query(self, sql: str, **parameters: Any) -> QueryResult:
@@ -427,7 +389,8 @@ class Database:
         txn: Transaction | None = None,
         parameters: Mapping[str, Any] | None = None,
     ) -> "obs.Profile":
-        """Execute a SELECT with per-operator profiling (EXPLAIN PROFILE).
+        """Execute a query or a write with per-operator profiling (EXPLAIN
+        PROFILE).
 
         Returns a :class:`repro.obs.Profile`: the executed plan tree where
         every operator node carries its output row count and wall time,
@@ -436,38 +399,47 @@ class Database:
         profiler is installed on this one execution's context.
         """
         statement = parse(sql)
-        if not isinstance(statement, (ast.SelectStatement, ast.UnionStatement)):
-            raise PlanError("profile() supports SELECT statements only")
+        if not isinstance(statement, PLANNED_STATEMENTS):
+            raise PlanError("profile() supports queries and writes only")
         plan = plan_select(statement, self.catalog, feedback=self.feedback)
-        context = self._context(txn, parameters)
         # profiled runs do not auto-record feedback: a profile is a
         # measurement, and feeding it back is the caller's explicit call
         # (``database.feedback.harvest(profile.root)``) — so profiling a
         # query never changes how its next plain execution is planned
         profiler = obs.QueryProfiler()
-        context.profiler = profiler
         with obs.span("sql.profile", sql=sql.strip()):
-            batch = execute_plan(plan, context)
-        result = QueryResult(plan.output_names, batch.rows())
+            if isinstance(plan.root, WriteNode):
+                result, context = self._write(plan, txn, parameters, profiler)
+            else:
+                context = self._context(txn, parameters)
+                context.profiler = profiler
+                batch = execute_plan(plan, context)
+                result = QueryResult(plan.output_names, batch.rows())
         root = profiler.root
         assert root is not None  # the executor always visits plan.root
         return obs.Profile(
             sql=sql, root=root, result=result, metrics=dict(context.metrics)
         )
 
-    # -- DML ---------------------------------------------------------------------------
+    # -- writes ------------------------------------------------------------------------
 
-    def _autocommit(
+    def _write(
         self,
-        statement: Any,
+        plan: QueryPlan,
         txn: Transaction | None,
-        runner: Callable[[Any, Transaction, Mapping[str, Any] | None], int],
         parameters: Mapping[str, Any] | None,
-    ) -> QueryResult:
+        profiler: "obs.QueryProfiler | None" = None,
+    ) -> tuple[QueryResult, ExecutionContext]:
+        """Run a write plan in ``txn`` — without one, in a transaction of
+        its own that commits if the write succeeds and rolls back if not.
+        A write runs without feedback, re-planning or a governor: nothing
+        can abort or truncate it once it has started."""
         own = txn is None
         active = txn if txn is not None else self.begin()
         try:
-            count = runner(statement, active, parameters)
+            context = self._context(active, parameters)
+            context.profiler = profiler
+            count = execute_plan(plan, context).length
         except Exception:
             obs.count("core.dml_rollbacks")
             if own:
@@ -475,99 +447,7 @@ class Database:
             raise
         if own:
             self.commit(active)
-        return QueryResult([], [], rowcount=count)
-
-    def _const_value(self, expr: ast.Expr, context: ExecutionContext) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        return python_values(evaluate(expr, Batch({}, 1), context))[0]
-
-    def _execute_insert(
-        self,
-        statement: ast.InsertStatement,
-        txn: Transaction,
-        parameters: Mapping[str, Any] | None,
-    ) -> int:
-        table = self.catalog.table(statement.table)
-        context = self._context(txn, parameters)
-        rows: list[Any]
-        if statement.select is not None:
-            plan = plan_select(statement.select, self.catalog)
-            rows = execute_plan(plan, context).rows()
-        else:
-            rows = [
-                [self._const_value(expr, context) for expr in row]
-                for row in statement.rows
-            ]
-        if rows and statement.columns is not None:
-            if isinstance(table, ColumnTable):
-                table.ensure_columns(dict.fromkeys(statement.columns), dt.VARCHAR)
-            rows = [dict(zip(statement.columns, row)) for row in rows]
-        # one set, checked whole before any row is stored; a single row takes
-        # ``insert``, the same write under the name benchmarks/harness traces
-        if len(rows) == 1:
-            table.insert(rows[0], txn)
-            return 1
-        return table.insert_many(rows, txn)
-
-    def _matches(
-        self, table: Any, where: ast.Expr | None, context: ExecutionContext
-    ) -> tuple[int | np.ndarray, np.ndarray]:
-        """``(ordinal, positions)`` of the visible rows matching WHERE — the
-        set an UPDATE or DELETE rewrites. ``ordinal`` is the partition of
-        them all, or an array parallel to the positions, grouped by
-        partition."""
-        if isinstance(table, RowTable):
-            positions = table.visible_positions(context.snapshot_cid, context.own_tid)
-            if where is not None and len(positions):
-                rows = _batch(table.schema, table.gather(0, positions), [where])
-                positions = positions[np.asarray(evaluate(where, rows, context), dtype=bool)]
-            return 0, positions
-        start_positions, conjuncts = access_path(
-            table, ast.split_conjuncts(where), None, context
-        )
-        shares = [
-            filter_positions(partition, start_positions(partition), conjuncts, None, context)
-            for partition in table.partitions
-        ]
-        if len(shares) == 1:
-            return 0, shares[0]
-        return np.repeat(np.arange(len(shares)), list(map(len, shares))), np.concatenate(shares)
-
-    def _execute_update(
-        self,
-        statement: ast.UpdateStatement,
-        txn: Transaction,
-        parameters: Mapping[str, Any] | None,
-    ) -> int:
-        """One set operation: the matched rows are read once, each
-        assignment is evaluated once over them, and the table deletes the
-        old versions and inserts the new ones together."""
-        table = self.catalog.table(statement.table)
-        context = self._context(txn, parameters)
-        ordinal, positions = self._matches(table, statement.where, context)
-        if not len(positions):
-            return 0
-        old = table.gather(ordinal, positions)
-        rows = _batch(table.schema, old, [expr for _, expr in statement.assignments])
-        changes = {
-            column: python_values(evaluate(expr, rows, context))
-            for column, expr in statement.assignments
-        }
-        table.update_at(ordinal, positions, changes, txn, old)
-        return len(positions)
-
-    def _execute_delete(
-        self,
-        statement: ast.DeleteStatement,
-        txn: Transaction,
-        parameters: Mapping[str, Any] | None,
-    ) -> int:
-        table = self.catalog.table(statement.table)
-        ordinal, positions = self._matches(table, statement.where, self._context(txn, parameters))
-        if len(positions):
-            table.delete_at(ordinal, positions, txn)
-        return len(positions)
+        return QueryResult([], [], rowcount=count), context
 
     # -- DDL from AST ----------------------------------------------------------------------
 
@@ -784,21 +664,6 @@ class Database:
                 "metrics_collected": len(obs.registry()) if obs.enabled() else 0,
             },
         }
-
-
-def _batch(schema: TableSchema, columns: list[list[Any]], exprs: list[ast.Expr]) -> Batch:
-    """The columns ``exprs`` reference, of rows given column-major in
-    schema order, as one batch to evaluate them over. The exact values
-    travel as objects, so arithmetic is Python's: an integer grows where
-    an int64 would wrap, and coercion then refuses what does not fit."""
-    names = {ref.name for expr in exprs for ref in ast.collect_column_refs(expr)}
-    length = len(columns[0])
-    arrays = {
-        name: np.fromiter(columns[schema.position(name)], dtype=object, count=length)
-        for name in names
-        if schema.has_column(name)
-    }
-    return Batch(arrays, length)
 
 
 def _scrub_in_flight_stamps(table: Any) -> None:

@@ -37,41 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sql.planner import PlanNode
 
 
-def describe_node(node: "PlanNode") -> str:
-    """A one-line operator label, mirroring ``planner.explain``."""
-    from repro.sql import planner
-
-    if isinstance(node, planner.ScanNode):
-        label = f"Scan {node.table or '<virtual>'} as {node.alias}" if node.table else "Scan <virtual row>"
-        if node.predicate is not None:
-            label += f" filter={node.predicate}"
-        return label
-    if isinstance(node, planner.SubqueryScanNode):
-        return f"SubqueryScan as {node.alias}"
-    if isinstance(node, planner.FilterNode):
-        return f"Filter {node.predicate}"
-    if isinstance(node, planner.JoinNode):
-        keys = ", ".join(f"{l}={r}" for l, r in node.equi)
-        return f"Join[{node.kind}] {keys}".rstrip()
-    if isinstance(node, planner.AggregateNode):
-        groups = ", ".join(name for _, name in node.group)
-        aggs = ", ".join(str(call) for call, _ in node.aggregates)
-        return f"Aggregate group=[{groups}] aggs=[{aggs}]"
-    if isinstance(node, planner.ProjectNode):
-        names = ", ".join(name for _, name in node.items)
-        return f"Project [{names}]"
-    if isinstance(node, planner.SortNode):
-        keys = ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in node.keys)
-        return f"Sort [{keys}]"
-    if isinstance(node, planner.DistinctNode):
-        return "Distinct"
-    if isinstance(node, planner.LimitNode):
-        return f"Limit {node.limit} offset {node.offset}"
-    if isinstance(node, planner.UnionNode):
-        return f"Union[{'distinct' if node.distinct else 'all'}]"
-    return type(node).__name__
-
-
 @dataclass
 class OperatorProfile:
     """One executed plan node: what it was, produced, and cost."""
@@ -137,9 +102,11 @@ class QueryProfiler:
         self._stack: list[OperatorProfile] = []
 
     def operator(self, node: "PlanNode") -> _OperatorFrame:
+        from repro.sql.planner import describe  # the line planner.explain prints
+
         profile = OperatorProfile(
             type(node).__name__,
-            describe_node(node),
+            describe(node),
             signature=getattr(node, "signature", None),
         )
         if self._stack:

@@ -202,18 +202,24 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(contains_aggregate(child) for child in expr.children())
 
 
-def collect_column_refs(expr: Expr) -> list[ColumnRef]:
-    """All :class:`ColumnRef` nodes in the tree, in visit order."""
-    refs: list[ColumnRef] = []
+def collect(expr: Expr | None, kind: type) -> list[Any]:
+    """All nodes of type ``kind`` in the tree (none in ``None``), in visit order."""
+    found: list[Any] = []
 
     def visit(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            refs.append(node)
+        if isinstance(node, kind):
+            found.append(node)
         for child in node.children():
             visit(child)
 
-    visit(expr)
-    return refs
+    if expr is not None:
+        visit(expr)
+    return found
+
+
+def collect_column_refs(expr: Expr | None) -> list[ColumnRef]:
+    """All :class:`ColumnRef` nodes in the tree, in visit order."""
+    return collect(expr, ColumnRef)
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

@@ -22,6 +22,8 @@ class ExecutionContext:
     database: Any = None
     snapshot_cid: int = 2**62 - 1
     own_tid: int = 0
+    #: the transaction a write plan writes in (a ``WriteNode`` needs one)
+    txn: Any = None
     functions: "FunctionRegistry | None" = None
     #: free-form session parameters (e.g. target currency)
     parameters: dict[str, Any] = field(default_factory=dict)

@@ -19,13 +19,13 @@ evaluation is NumPy-vectorised. At the leaves, scans
 
 **The scan contract is codes first, values last** (the dictionary-encoded
 scan of Section II.A). A scan reads only the columns the planner left in
-``ScanNode.columns``. Per partition, :func:`filter_positions` — shared
-with ``UPDATE``/``DELETE`` — turns each ``column <op> literal(s)`` conjunct
+``ScanNode.columns``. Per partition, :func:`filter_positions` turns each
+``column <op> literal(s)`` conjunct
 into a dictionary lookup plus an integer test on the main fragment's value
 ids, so the predicate runs before anything is decoded; the delta fragment
 and every other conjunct go through ``evaluate`` over the predicate's
 columns only. Which positions that starts from is :func:`access_path`'s
-choice, made once for scans and DML alike: all visible rows, or — for
+choice: all visible rows, or — for
 ``key = literal`` / ``key IN (literals)`` on a declared single-column
 primary key — the few the key column's position indexes name.
 :func:`_read_column` then decodes the surviving positions:
@@ -40,6 +40,12 @@ expression is evaluated (``Batch.column``) or rows are produced
 (``Batch.rows``). Result order without ``ORDER BY`` is defined: groups by
 first appearance of their keys, join output in left-row order with
 matches in right-row order, ``DISTINCT`` keeps first occurrences.
+
+**Writes are operators too:** an UPDATE or DELETE is a :class:`WriteNode`
+over a scan that also emits row ids (``ScanNode.row_ids``), so a write
+finds its rows through the very path above; an INSERT's rows come from a
+:class:`ValuesNode` or a query. The write operator calls the table's one
+write path (``Table._write``) in ``context.txn``.
 
 **One operator table:** :data:`OPERATORS` maps each plan-node type to
 one function ``(node, input batches, context, top) → Batch``. The
@@ -80,7 +86,7 @@ from repro.columnstore.compression import NULL_VID
 from repro.columnstore.dictionary import SortedDictionary
 from repro.columnstore.partition import CompositePartitioning, RangePartitioning
 from repro.columnstore.table import ColumnTable, TablePartition
-from repro.core.types import TypeCode
+from repro.core.types import VARCHAR, TypeCode
 from repro.errors import PlanError
 from repro.sql import ast
 from repro.sql import feedback as fb
@@ -92,6 +98,7 @@ from repro.sql.expressions import (
     as_float,
     concat_columns,
     evaluate,
+    python_values,
 )
 from repro.sql.functions import narrow_to_array
 from repro.sql.kernels import (
@@ -108,6 +115,8 @@ from repro.sql.kernels import (
     unique_inverse,
 )
 from repro.sql.planner import (
+    ROW_ORDINAL,
+    ROW_POSITION,
     AggregateNode,
     DistinctNode,
     ExternalNode,
@@ -121,7 +130,10 @@ from repro.sql.planner import (
     SortNode,
     SubqueryScanNode,
     UnionNode,
+    ValuesNode,
+    WriteNode,
 )
+from repro.transaction.mvcc import uncommitted_stamp
 
 
 def execute(plan: QueryPlan, context: ExecutionContext) -> Batch:
@@ -165,8 +177,8 @@ def _observe(node: PlanNode, batch: Batch, context: ExecutionContext) -> None:
     cardinality, biasing future estimates low."""
     if context.feedback_exempt:
         context.feedback_exempt = False
-        return
-    fb.observe_actual(node, len(batch), context)
+    elif node.signature is not None:  # an unsigned node has nothing to record
+        fb.observe_actual(node, len(batch), context)
 
 
 def _dispatch_node(node: PlanNode, context: ExecutionContext, top: int | None = None) -> Batch:
@@ -255,6 +267,81 @@ def _external(
     )
 
 
+def _values(
+    node: ValuesNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    """Each cell evaluated once to its exact Python value: a literal is
+    read as it is, any other expression evaluated over one empty row."""
+    cells = np.empty((len(node.columns), len(node.rows)), dtype=object)  # a row per column
+    for index, row in enumerate(node.rows):
+        for column, expr in enumerate(row):  # one object per cell, never unpacked
+            cells[column, index] = (
+                expr.value
+                if type(expr) is ast.Literal
+                else python_values(evaluate(expr, Batch({}, 1), context))[0]
+            )
+    return Batch(dict(zip(node.columns, cells)), len(node.rows))
+
+
+def _write(
+    node: WriteNode, inputs: list[Batch], context: ExecutionContext, top: int | None
+) -> Batch:
+    """One set write through the table's write path, in the context's
+    transaction; one output row (of no columns) per row written."""
+    (child,) = inputs
+    txn = context.txn
+    if txn is None:
+        raise PlanError("a write runs inside a transaction")
+    table = context.database.catalog.table(node.table)
+    if node.kind == "insert":
+        return Batch({}, _insert(node, table, child, txn))
+    positions = child.columns[f"{node.table}.{ROW_POSITION}"]
+    count = child.length
+    if not count:
+        return Batch({}, 0)
+    ordinal = 0 if len(table.partitions) == 1 else child.columns[f"{node.table}.{ROW_ORDINAL}"]
+    if node.kind == "delete":
+        table.delete_at(ordinal, positions, txn)
+        return Batch({}, count)
+    old = table.gather(ordinal, positions)
+    # the stored values an assignment reads travel as objects, so its
+    # arithmetic is Python's: an integer grows where an int64 would wrap,
+    # and coercion then refuses what does not fit
+    names = {ref.name for _column, expr in node.assignments for ref in ast.collect_column_refs(expr)}
+    stored = Batch(
+        {
+            f"{node.table}.{name}": np.fromiter(old[table.schema.position(name)], dtype=object, count=count)
+            for name in names
+        },
+        count,
+    )
+    changes = {
+        column: python_values(evaluate(expr, stored, context)) for column, expr in node.assignments
+    }
+    table.update_at(ordinal, positions, changes, txn, old)
+    return Batch({}, count)
+
+
+def _insert(node: WriteNode, table: Any, child: Batch, txn: Any) -> int:
+    """Insert the child's rows as one set; a single row takes
+    ``table.insert``, the same write under its own name."""
+    count = child.length
+    if not count:
+        return 0
+    columns = list(child.columns.values())
+    if not isinstance(node.child, ValuesNode):  # a ValuesNode's cells are exact Python values
+        columns = [python_values(column) for column in columns]
+    if node.columns is not None:
+        if isinstance(table, ColumnTable):
+            table.ensure_columns(dict.fromkeys(node.columns), VARCHAR)
+        named = dict(zip(node.columns, columns))
+        columns = [named.get(name.lower(), [None] * count) for name in table.schema.column_names]
+    if count == 1:
+        table.insert([column[0] for column in columns], txn)
+        return 1
+    return table.insert_many(zip(*columns), txn)
+
+
 # --------------------------------------------------------------------------
 # scan
 # --------------------------------------------------------------------------
@@ -305,26 +392,9 @@ def _scan_memo_key(node: ScanNode) -> str | None:
     if node.signature is None:
         return None
     values = ";".join(
-        repr(literal.value) for literal in _predicate_literals(node.predicate)
+        repr(literal.value) for literal in ast.collect(node.predicate, ast.Literal)
     )
     return f"{node.signature}|vals={values}|cols={','.join(sorted(node.columns))}"
-
-
-def _predicate_literals(expr: ast.Expr | None) -> list[ast.Literal]:
-    """Literal leaves of a predicate, in deterministic traversal order."""
-    if expr is None:
-        return []
-    out: list[ast.Literal] = []
-
-    def walk(node: ast.Expr) -> None:
-        if isinstance(node, ast.Literal):
-            out.append(node)
-            return
-        for child in node.children():
-            walk(child)
-
-    walk(expr)
-    return out
 
 
 def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
@@ -339,6 +409,7 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
     ordinals = _prune_partitions(table, conjuncts, context)
     index_positions = _contains_probe(node, table, conjuncts, database)
     start_positions, conjuncts = access_path(table, conjuncts, node.alias, context)
+    row_ids = (f"{node.alias}.{ROW_ORDINAL}", f"{node.alias}.{ROW_POSITION}") if node.row_ids else ()
 
     governor = context.governor
     parts: list[Batch] = []
@@ -350,10 +421,13 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
         positions = start_positions(partition)
         if index_positions is not None:
             allowed = index_positions.get(partition.name, set())
-            if not allowed:
-                continue
             hits = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
-            positions = positions[np.isin(positions, hits)]
+            keep = np.isin(positions, hits)
+            if context.own_tid:
+                # the index learns a row when it commits: the transaction's
+                # own rows are not in it yet, so CONTAINS tests them itself
+                keep |= partition.created.view()[positions] == uncommitted_stamp(context.own_tid)
+            positions = positions[keep]
         if governor is not None:
             # batch-granular yield point: truncate instead of overshooting
             # the soft row budget, then charge what survives
@@ -374,25 +448,29 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
             f"{node.alias}.{name}": _read_column(partition, name, positions)
             for name in map(str.lower, node.columns)
         }
+        if row_ids:
+            columns[row_ids[0]] = np.zeros(len(positions), dtype=np.int64) + ordinal
+            columns[row_ids[1]] = positions
         parts.append(Batch(columns, len(positions)))
     if not parts:
         empty = {
             f"{node.alias}.{name.lower()}": np.empty(0, dtype=object)
             for name in node.columns
         }
+        empty.update((key, np.empty(0, dtype=np.int64)) for key in row_ids)
         return Batch(empty, 0)
-    return Batch.concat(parts)
+    return parts[0] if len(parts) == 1 else Batch.concat(parts)
 
 
 def access_path(
     table: ColumnTable,
     conjuncts: list[ast.Expr],
-    alias: str | None,
+    alias: str,
     context: ExecutionContext,
 ) -> tuple[Callable[[TablePartition], np.ndarray], list[ast.Expr]]:
-    """Where a scan, UPDATE or DELETE of ``table`` starts: a function
-    giving the (ascending) visible positions of a partition to look at,
-    and the conjuncts :func:`filter_positions` still has to test there.
+    """Where a scan of ``table`` starts: a function giving the (ascending)
+    visible positions of a partition to look at, and the conjuncts
+    :func:`filter_positions` still has to test there.
 
     A conjunct ``key = literal`` / ``key IN (literals)`` on the table's
     single-column primary key, its literals of the key's stored type
@@ -433,11 +511,12 @@ def filter_positions(
     partition: TablePartition,
     positions: np.ndarray,
     conjuncts: list[ast.Expr],
-    alias: str | None,
+    alias: str,
     context: ExecutionContext,
 ) -> np.ndarray:
     """The given (ascending) positions of one partition whose rows satisfy
-    every conjunct — the one WHERE evaluation of scans, UPDATE and DELETE.
+    every conjunct — the one WHERE evaluation of every scan, a write's
+    included.
 
     *Codes first*: on the main fragment a ``column <op> literal(s)``
     conjunct is a dictionary lookup plus an integer test on value ids
@@ -445,15 +524,14 @@ def filter_positions(
     decoded. The same conjuncts see the delta fragment's exact Python
     values. Whatever cannot be put that way is handed to
     :func:`~repro.sql.expressions.evaluate` over the surviving rows and
-    the columns it references, nothing else. ``alias`` qualifies the
-    column keys (``None``: bare names, as DML predicates use them).
+    the columns it references, nothing else, keyed ``alias.column``.
     """
     if not conjuncts:
         return positions
     n_main = partition.n_main
     split = int(np.searchsorted(positions, n_main))
     main, delta = positions[:split], positions[split:]
-    prefix = f"{alias}." if alias else ""
+    prefix = f"{alias}."
 
     on_codes: list[ast.Expr] = []
     code_columns: set[str] = set()
@@ -488,7 +566,7 @@ def filter_positions(
 
 
 def _code_test(
-    conjunct: ast.Expr, alias: str | None, partition: TablePartition
+    conjunct: ast.Expr, alias: str, partition: TablePartition
 ) -> tuple[str, str, tuple[Any, ...], bool] | None:
     """``(column, op, literals, negated)`` when the conjunct compares one
     column of the partition with literals of its stored type, else None.
@@ -633,29 +711,36 @@ def _simple_filter_triples(
 
 def _scan_rowstore(node: ScanNode, table: Any, context: ExecutionContext) -> Batch:
     """Scan a row table (or a federated virtual table) into one batch."""
-    if getattr(table, "is_virtual", False) and node.predicate is not None:
-        triples = _simple_filter_triples(ast.split_conjuncts(node.predicate))
-        rows = table.scan_with_filters(triples)
+    names = [name.lower() for name in table.schema.column_names]
+    positions = None
+    if not getattr(table, "is_virtual", False):
+        positions = table.visible_positions(context.snapshot_cid, context.own_tid)
+        count = len(positions)
+    elif node.predicate is not None:
+        rows = table.scan_with_filters(_simple_filter_triples(ast.split_conjuncts(node.predicate)))
+        count = len(rows)
     else:
         rows = table.scan(context.snapshot_cid, context.own_tid)
+        count = len(rows)
     governor = context.governor
     if governor is not None:
         remaining = governor.remaining_rows()
-        if remaining is not None and len(rows) > remaining:
-            rows = rows[:remaining]
+        if remaining is not None and count > remaining:
+            count = remaining
             context.feedback_exempt = True  # degraded, not a true count
-        governor.charge(
-            rows=len(rows),
-            bytes_=len(rows) * 8 * max(len(table.schema.column_names), 1),
-        )
-    names = [name.lower() for name in table.schema.column_names]
-    columns: dict[str, np.ndarray] = {}
-    for index, name in enumerate(names):
-        values = [row[index] for row in rows]
-        columns[f"{node.alias}.{name}"] = narrow_to_array(values)
-    batch = Batch(columns, len(rows))
-    context.bump("rows_scanned", len(rows))
-    obs.count("sql.executor.rows_scanned", len(rows))
+        governor.charge(rows=count, bytes_=count * 8 * max(len(names), 1))
+    if positions is not None:
+        positions = positions[:count]
+        values = table.columns_at(positions)
+    else:
+        values = [[row[index] for row in rows[:count]] for index in range(len(names))]
+    columns = {f"{node.alias}.{name}": narrow_to_array(column) for name, column in zip(names, values)}
+    if node.row_ids:
+        columns[f"{node.alias}.{ROW_ORDINAL}"] = np.zeros(count, dtype=np.int64)
+        columns[f"{node.alias}.{ROW_POSITION}"] = positions
+    batch = Batch(columns, count)
+    context.bump("rows_scanned", count)
+    obs.count("sql.executor.rows_scanned", count)
     if node.predicate is not None:
         mask = np.asarray(evaluate(node.predicate, batch, context), dtype=bool)
         batch = batch.filter(mask)
@@ -1026,4 +1111,6 @@ OPERATORS: dict[type, Callable[[Any, list[Batch], ExecutionContext, int | None],
     LimitNode: _limit,
     UnionNode: _union,
     ExternalNode: _external,
+    ValuesNode: _values,
+    WriteNode: _write,
 }

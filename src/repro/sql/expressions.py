@@ -14,6 +14,11 @@ contract stays *plain arrays in, plain array out*) and :meth:`Batch.rows`.
 Three-valued logic is simplified: a comparison involving NULL yields False
 (not UNKNOWN), which matches the filtering behaviour of WHERE clauses —
 the only place the engine consumes booleans.
+
+Integer arithmetic is checked: ``+``, ``-``, ``*`` and unary minus over
+int64 arrays raise :class:`~repro.errors.TypeMismatchError` ("BIGINT out of
+range") where the exact result leaves int64, as coercing it into a BIGINT
+column would — a result is refused, never wrapped.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.errors import ColumnNotFoundError, ExpressionError
+from repro.errors import ColumnNotFoundError, ExpressionError, TypeMismatchError
 from repro.sql import ast
 from repro.sql.context import ExecutionContext
 
@@ -317,6 +322,8 @@ def evaluate(expr: ast.Expr, batch: Batch, context: ExecutionContext) -> np.ndar
             return np.array(
                 [None if v is None else -v for v in operand], dtype=object
             )
+        if operand.dtype.kind == "i" and (operand == _INT64_MIN).any():
+            raise TypeMismatchError(f"BIGINT out of range: {-_INT64_MIN}")
         return -operand
     if isinstance(expr, ast.BinaryOp):
         return _evaluate_binary(expr, batch, context)
@@ -399,18 +406,40 @@ def _evaluate_binary(expr: ast.BinaryOp, batch: Batch, context: ExecutionContext
         if left.dtype == object or right.dtype == object:
             return _object_arith(left, right, op)
         with np.errstate(invalid="ignore"):
-            return _ARITH[op](left, right)
+            result = _ARITH[op](left, right)
+        if op != "%" and left.dtype.kind == "i" and right.dtype.kind == "i":
+            _refuse_overflow(op, left, right, result)
+        return result
     raise ExpressionError(f"unknown binary operator {op!r}")
+
+
+_INT64_MIN = np.iinfo(np.int64).min
+
+
+def _refuse_overflow(op: str, left: np.ndarray, right: np.ndarray, result: np.ndarray) -> None:
+    """Raise where int64 ``left <op> right`` wrapped. A sum or difference
+    wrapped where its sign disagrees with both operands' (two's
+    complement); a product is recomputed exactly where its float estimate
+    comes near 2**63."""
+    if op == "+":
+        suspects = np.flatnonzero(((left ^ result) & (right ^ result)) < 0)
+    elif op == "-":
+        suspects = np.flatnonzero(((left ^ right) & (left ^ result)) < 0)
+    else:
+        suspects = np.flatnonzero(np.abs(left.astype(np.float64) * right.astype(np.float64)) >= 2.0**62)
+    for index in suspects.tolist():
+        exact = _PYTHON_ARITH[op](int(left[index]), int(right[index]))
+        if not -(2**63) <= exact < 2**63:
+            raise TypeMismatchError(f"BIGINT out of range: {exact}")
+
+
+#: the arithmetic operators on Python values
+_PYTHON_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "%": operator.mod}
 
 
 def _object_arith(left: np.ndarray, right: np.ndarray, op: str) -> np.ndarray:
     """Arithmetic over object arrays (dates + intervals, None-safe)."""
-    func = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "%": lambda a, b: a % b,
-    }[op]
+    func = _PYTHON_ARITH[op]
     out = np.empty(len(left), dtype=object)
     for index in range(len(left)):
         a = _to_python(left[index])

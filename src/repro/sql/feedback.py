@@ -32,7 +32,7 @@ Three pieces live here:
   When the actual exceeds the planner's estimate by more than
   :data:`REPLAN_FACTOR` (and the execution context permits re-planning),
   it raises :class:`ReplanSignal` *after* recording the fresh count, so
-  the catcher (``Database._execute_select``) can re-plan the statement
+  the catcher (``Database._run``) can re-plan the statement
   with the corrected cardinalities and resume — completed scans are
   memoised on ``context.scan_cache`` and are not re-read or re-charged.
 """
@@ -69,7 +69,7 @@ class ReplanSignal(Exception):
     """Internal control flow: an operator blew past its estimate.
 
     Raised from the engines' measurement points (never surfaced to
-    callers of ``Database.execute``); ``Database._execute_select``
+    callers of ``Database.execute``); ``Database._run``
     catches it, re-plans with the fresh feedback, and resumes.
     """
 

@@ -13,8 +13,9 @@ pass, so ``... WHERE amount > 100`` and ``... WHERE amount > 250`` share
 one entry and a repeated statement is neither lexed nor parsed. An entry
 holds the statement's parse as a :class:`Template` — which literal token
 of the text feeds which :class:`~repro.sql.ast.Literal` leaf, and how
-(a folded ``-3`` negates its token, ``DATE '…'`` parses it) — and, for a
-query, its plan. Tokens the planner consumes at plan time — ``LIMIT`` /
+(a folded ``-3`` negates its token, ``DATE '…'`` parses it) — and its
+plan: a query's or a write's, one kind of entry for both. Tokens the
+planner consumes at plan time — ``LIMIT`` /
 ``OFFSET`` counts and ``ORDER BY 2`` ordinals — are *fixed*: each value
 of them gets an entry of its own (:class:`PlanCache`), so a statement
 never binds to a plan made for another LIMIT. That text key is the
@@ -28,11 +29,11 @@ timing shims name them.
 literal leaves by identity (the planner rebuilds interior expression
 nodes but never literal leaves). On a hit the new values become a map
 from those leaves to fresh literals (:meth:`Template.bind`), and
-:func:`_substitute` builds a *substitution copy* of the cached plan — or,
-for DML, of the cached statement: only the spine above each literal
-whose value actually changed is rebuilt, and every untouched subtree —
-the entire plan, when the constants happen to match — is shared with the
-cached entry. :func:`bind_plan` is that step for a plan.
+:func:`bind_plan` builds a *substitution copy* of the cached plan
+(:func:`_substitute`): only the spine above each literal whose value
+actually changed is rebuilt, and every untouched subtree — the entire
+plan, when the constants happen to match — is shared with the cached
+entry.
 Sharing is safe because plans are read-only during execution; nothing is
 ever mutated, so any number of executions of one shape may run
 concurrently, each on its own bound copy. :class:`PlanCache` itself is
@@ -44,15 +45,17 @@ parse (a parse depends on the text alone):
 
 * *explicit* — ``invalidate_table()`` on DDL (CREATE/DROP) and on delta
   merge, since a merge changes partition layout and the cost picture;
-* *feedback staleness* — each entry snapshots the per-table versions of
-  the :class:`~repro.sql.feedback.CardinalityFeedback` store; when a
-  table's observed cardinalities change significantly the version moves
-  and the entry is re-planned on next lookup.
+* *feedback staleness* — a query's entry snapshots the per-table
+  versions of the :class:`~repro.sql.feedback.CardinalityFeedback`
+  store; when a table's observed cardinalities change significantly the
+  version moves and the entry is re-planned on next lookup. A write is
+  planned without feedback, so its entry snapshots nothing and never
+  goes stale.
 
 Hits, misses, evictions, staleness drops, and invalidations are all
 counted through :mod:`repro.obs` (``sql.plancache.*``). Hits and misses
-count query plans, as they did when the cache held plans only; a reused
-parse — DML's included — counts on ``parse_hits``.
+count query plans only; a reused parse — a write's included — counts on
+``parse_hits``.
 """
 
 from __future__ import annotations
@@ -203,11 +206,7 @@ def collect_literals(statement: ast.Statement) -> list[ast.Literal]:
     slots: list[ast.Literal] = []
 
     def expr(node: ast.Expr) -> None:
-        if isinstance(node, ast.Literal):
-            slots.append(node)
-            return
-        for child in node.children():
-            expr(child)
+        slots.extend(ast.collect(node, ast.Literal))
 
     def order(order_by: list[tuple[ast.Expr, bool]]) -> None:
         for key, _ascending in order_by:
@@ -267,6 +266,12 @@ def plan_tables(root: Any) -> frozenset[str]:
     return frozenset(tables)
 
 
+#: a plan's slot spine: for each container on a path down to a slot
+#: literal, the fields that lead there (attribute names of a dataclass,
+#: indices of a list or tuple), keyed by the container's ``id``
+Spine = dict[int, tuple[Any, ...]]
+
+
 #: how a literal token's value becomes its leaf's value (``None``: as is)
 Conversion = Callable[[Any], Any] | None
 
@@ -285,10 +290,6 @@ class Template:
     #: (token index, value) for each token the planner consumes:
     #: LIMIT/OFFSET counts and ORDER BY ordinals
     fixed: tuple[tuple[int, Any], ...]
-    #: ids of the statement's containers above a slot leaf: precomputed for
-    #: DML, which binds into its statement on every hit; a query binds into
-    #: its plan and walks its statement only when that is asked for
-    spine: frozenset[int] | None = None
 
     @property
     def is_query(self) -> bool:
@@ -305,13 +306,12 @@ class Template:
         return mapping
 
     def statement_for(self, mapping: dict[int, ast.Literal]) -> Any:
-        """The statement with ``mapping`` bound (the cached one when empty)."""
+        """The statement with ``mapping`` bound (the cached one when empty):
+        what a hit's bound plan is the plan of."""
         if not mapping:
             return self.statement
-        return _substitute(self.statement, mapping, self.spine or self.slot_spine())
-
-    def slot_spine(self) -> frozenset[int]:
-        return slot_spine(self.statement, [leaf for _index, leaf, _convert in self.slots])
+        spine = slot_spine(self.statement, [leaf for _index, leaf, _convert in self.slots])
+        return _substitute(self.statement, mapping, spine)
 
 
 def record_template(
@@ -339,10 +339,7 @@ def record_template(
             bound.append((index, leaf, convert))
         else:
             fixed.append((index, value))
-    template = Template(statement, tuple(bound), tuple(fixed))
-    if template.is_query:
-        return template
-    return dataclasses.replace(template, spine=template.slot_spine())
+    return Template(statement, tuple(bound), tuple(fixed))
 
 
 @dataclass
@@ -350,17 +347,19 @@ class PlanEntry:
     """One cached plan plus everything needed to reuse and invalidate it.
 
     An entry made from SQL text also carries the :class:`Template` it was
-    parsed into; a DML entry is only that (``plan`` None), and so is a
-    query entry whose plan a merge or a feedback drift dropped.
+    parsed into; an entry whose plan a merge or a feedback drift dropped
+    is only that (``plan`` None) until a hit plans it again.
     """
 
     plan: Any  # a planner PlanNode tree
     slots: list[ast.Literal]  # literal leaves the plan references, in order
-    tables: frozenset[str]  # base tables the plan reads
-    versions: dict[str, int] = field(default_factory=dict)  # feedback snapshot
-    #: ids of the containers between the plan root and each slot literal;
-    #: precomputed so :func:`bind_plan` rebuilds only this spine
-    spine: frozenset[int] | None = None
+    tables: frozenset[str]  # base tables the plan reads or writes
+    #: feedback snapshot; ``None`` for a plan made without feedback (a write's)
+    versions: dict[str, int] | None = field(default_factory=dict)
+    #: the containers between the plan root and each slot literal, with
+    #: the fields on the way (:func:`slot_spine`); precomputed so
+    #: :func:`bind_plan` rebuilds only this spine
+    spine: Spine | None = None
     #: slot-value fingerprint recorded by ``plancheck.entry_seal`` at
     #: insert; a later mismatch proves the frozen entry was mutated
     seal: tuple | None = None
@@ -370,11 +369,6 @@ class PlanEntry:
     def __post_init__(self) -> None:
         if self.spine is None:
             self.spine = slot_spine(self.plan, self.slots)
-
-    @property
-    def unplanned(self) -> bool:
-        """A query's parse without a plan: a hit must plan it first."""
-        return self.plan is None and self.template is not None and self.template.is_query
 
     def without_plan(self) -> "PlanEntry | None":
         """What survives when the plan goes: the parse, if there is one."""
@@ -403,13 +397,14 @@ def _field_names(cls: type) -> tuple[str, ...] | None:
     return names
 
 
-def slot_spine(root: Any, slots: list[ast.Literal]) -> frozenset[int]:
-    """ids of every container on a path from ``root`` down to a slot
-    literal — the only objects :func:`_substitute` may need to rebuild.
-    Computed once when a plan is cached; the ids stay valid because the
-    cache entry keeps the whole object graph alive."""
+def slot_spine(root: Any, slots: list[ast.Literal]) -> Spine:
+    """Every container on a path from ``root`` down to a slot literal, with
+    the fields that lead there — the only objects :func:`_substitute` may
+    need to rebuild, and the only fields it looks at. Computed once when a
+    plan is cached; the ids stay valid because the cache entry keeps the
+    whole object graph alive."""
     slot_ids = {id(slot) for slot in slots}
-    spine: set[int] = set()
+    spine: Spine = {}
 
     def walk(value: Any) -> bool:
         if isinstance(value, ast.Literal):
@@ -417,64 +412,57 @@ def slot_spine(root: Any, slots: list[ast.Literal]) -> frozenset[int]:
         if value is None or isinstance(value, (str, int, float)):
             return False
         if isinstance(value, (list, tuple)):
-            hit = False
-            for item in value:
-                hit = walk(item) or hit
+            fields = [index for index, item in enumerate(value) if walk(item)]
         else:
             names = _field_names(type(value))
             if names is None:
                 return False
-            hit = False
-            for name in names:
-                hit = walk(getattr(value, name)) or hit
-        if hit:
-            spine.add(id(value))
-        return hit
+            fields = [name for name in names if walk(getattr(value, name))]
+        if fields:
+            spine[id(value)] = tuple(fields)
+        return bool(fields)
 
     walk(root)
-    return frozenset(spine)
+    return spine
 
 
-def _substitute(value: Any, mapping: dict[int, ast.Literal], spine: frozenset[int]) -> Any:
+def _substitute(value: Any, mapping: dict[int, ast.Literal], spine: Spine) -> Any:
     """Structure-sharing substitution over a plan (or expression) tree.
 
     Rebuilds only the spine above each literal in ``mapping`` (keyed by
-    the *cached* literal's ``id``); every subtree off the precomputed
-    ``spine`` is returned as-is and shared with the cached plan — safe
-    because plans are read-only during execution.
+    the *cached* literal's ``id``), visiting only the spine's fields;
+    every subtree off the precomputed ``spine`` is returned as-is and
+    shared with the cached plan — safe because plans are read-only during
+    execution.
     """
-    if isinstance(value, ast.Literal):
+    if type(value) is ast.Literal:
         return mapping.get(id(value), value)
-    if id(value) not in spine:
+    fields = spine.get(id(value))
+    if fields is None:
         return value
-    # below, a child is only visited when it is on the spine or a literal:
-    # most fields of a spine node are neither, and a call per field is the
-    # bulk of a hit's binding cost
     if isinstance(value, (list, tuple)):
-        items = [
-            _substitute(item, mapping, spine)
-            if id(item) in spine or type(item) is ast.Literal
-            else item
-            for item in value
-        ]
-        if all(new is old for new, old in zip(items, value)):
+        items = list(value)
+        changed = False
+        for index in fields:
+            items[index] = _substitute(value[index], mapping, spine)
+            changed = changed or items[index] is not value[index]
+        if not changed:
             return value
         return items if isinstance(value, list) else tuple(items)
     # any other spine member is a dataclass (see slot_spine), its fields
     # in its __dict__
     changes: dict[str, Any] = {}
-    for name, old in value.__dict__.items():
-        if id(old) in spine or type(old) is ast.Literal:
-            new = _substitute(old, mapping, spine)
-            if new is not old:
-                changes[name] = new
+    for name in fields:
+        old = value.__dict__[name]
+        new = _substitute(old, mapping, spine)
+        if new is not old:
+            changes[name] = new
     if not changes:
         return value
     # shallow clone without __init__/dataclasses.replace overhead — also
     # sidesteps frozen-dataclass __setattr__ for the AST expression nodes
     clone = object.__new__(type(value))
-    clone.__dict__.update(value.__dict__)
-    clone.__dict__.update(changes)
+    clone.__dict__.update(value.__dict__, **changes)
     return clone
 
 
@@ -482,7 +470,7 @@ def bind_plan(entry: PlanEntry, mapping: dict[int, ast.Literal]) -> Any:
     """The cached plan with :meth:`Template.bind`'s ``mapping`` bound."""
     if not mapping:
         return entry.plan
-    return _substitute(entry.plan, mapping, entry.spine or frozenset())
+    return _substitute(entry.plan, mapping, entry.spine or {})
 
 
 def instantiate(
@@ -509,7 +497,7 @@ def instantiate(
     }
     if not mapping:
         return entry.plan
-    return _substitute(entry.plan, mapping, entry.spine or frozenset())
+    return _substitute(entry.plan, mapping, entry.spine or {})
 
 
 # --------------------------------------------------------------------------
@@ -589,10 +577,10 @@ class PlanCache:
         observed cardinalities moved) loses its plan. A query entry counts
         a hit when it has a plan and a miss when it has none (returned:
         its parse is still good); any entry holding a parse counts a parse
-        hit. An
-        absent key counts a miss only without ``values``: a text's shape
-        may be DML, which the cache holds no plan for, so that caller
-        reports the miss (:meth:`miss`) once its parse shows a query.
+        hit. An absent key counts a miss only without ``values``: a text's
+        shape may be a write's, which hits and misses do not count, so
+        that caller reports the miss (:meth:`miss`) once its parse shows a
+        query.
         """
         with self._lock:
             variant = self._variant(key, values)
@@ -601,7 +589,7 @@ class PlanCache:
                 if values is None:
                     self._count_miss()
                 return None
-            if entry.tables and feedback is not None:
+            if entry.tables and entry.versions is not None and feedback is not None:
                 if feedback.versions(entry.tables) != entry.versions:
                     entry = self._drop_plan(variant, entry)
                     self.stale += 1
@@ -613,11 +601,12 @@ class PlanCache:
             if entry.template is not None:
                 self.parse_hits += 1
                 obs.count("sql.plancache.parse_hits")
-            if entry.unplanned:
-                self._count_miss()
-            elif entry.plan is not None:
-                self.hits += 1
-                obs.count("sql.plancache.hits")
+            if entry.template is None or entry.template.is_query:
+                if entry.plan is None:
+                    self._count_miss()
+                else:
+                    self.hits += 1
+                    obs.count("sql.plancache.hits")
             return entry
 
     def miss(self) -> None:

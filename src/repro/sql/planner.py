@@ -1,4 +1,4 @@
-"""Logical planning: SELECT statements become operator trees.
+"""Logical planning: queries and writes become operator trees.
 
 **Paper mapping:** Section II.A / Figure 2 — the planning layer between
 the common SQL frontend and the specialised execution engines; the
@@ -24,6 +24,13 @@ execution engines rely on:
   columns; HAVING and post-aggregate arithmetic are rewritten over them),
 * hidden sort columns so ORDER BY may reference non-projected expressions.
 
+Writes are plans too (:func:`plan_select` takes INSERT, UPDATE and DELETE).
+Their root is one :class:`WriteNode`. An UPDATE or DELETE writes the rows
+a :class:`ScanNode` of the target finds: the scan carries the WHERE clause
+and emits row ids, so a write finds its rows through exactly the access
+path a SELECT takes. An INSERT writes the rows of a :class:`ValuesNode` or
+of its SELECT's plan.
+
 Partition pruning (range bounds plus the semantic aging rules of
 Section III) and CONTAINS-index probes are *annotated* on scan nodes here
 and resolved by the executors, which have access to live table state.
@@ -47,11 +54,11 @@ Since PR 6 the planner is also **cost- and feedback-aware** (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field, fields, replace as dataclass_replace
 from typing import Any, Callable
 
 from repro import obs
-from repro.errors import PlanError, TableNotFoundError
+from repro.errors import ColumnNotFoundError, PlanError, SchemaError, TableNotFoundError
 from repro.sql import ast
 from repro.sql import feedback as fb
 
@@ -63,6 +70,10 @@ from repro.sql import feedback as fb
 
 class PlanNode:
     """Base class of logical/physical plan nodes."""
+
+    #: the feedback signature of a node whose cardinality is learned
+    #: (scans and joins); None for every other node
+    signature: str | None = None
 
     def children(self) -> list["PlanNode"]:
         return []
@@ -84,9 +95,17 @@ class ScanNode(PlanNode):
     predicate: ast.Expr | None = None
     estimated_rows: float | None = None
     signature: str | None = None
+    #: also emit each row's partition ordinal and position
+    #: (:data:`ROW_ORDINAL`, :data:`ROW_POSITION`): the rows a write rewrites
+    row_ids: bool = False
 
     def children(self) -> list[PlanNode]:
         return []
+
+
+#: the hidden row-id columns of a :class:`ScanNode` with ``row_ids``
+ROW_ORDINAL = "__ordinal"
+ROW_POSITION = "__position"
 
 
 @dataclass
@@ -214,8 +233,42 @@ class ExternalNode(PlanNode):
 
 
 @dataclass
+class ValuesNode(PlanNode):
+    """The rows of an ``INSERT … VALUES``: one expression per cell, each
+    evaluated once to its exact Python value; ``columns`` names them."""
+
+    rows: list[list[ast.Expr]]
+    columns: list[str]
+
+
+@dataclass
+class WriteNode(PlanNode):
+    """One set write of ``table`` through its one write path
+    (``Table._write``); its output is one row per row written.
+
+    * ``insert``: the child's rows are the new rows. ``columns`` names
+      the target columns its columns fill, in order; ``None``: every
+      column, in schema order.
+    * ``update`` / ``delete``: the child is a row-id scan of ``table``
+      (:attr:`ScanNode.row_ids`); an update evaluates each of its
+      ``assignments`` (column, expression) once over the stored values of
+      the rows found.
+    """
+
+    kind: str  # "insert" | "update" | "delete"
+    table: str
+    child: PlanNode
+    assignments: list[tuple[str, ast.Expr]] = field(default_factory=list)
+    columns: list[str] | None = None
+
+    def children(self) -> list[PlanNode]:
+        return [self.child]
+
+
+@dataclass
 class QueryPlan:
-    """Root of a planned SELECT: the tree plus visible output names."""
+    """Root of a planned statement: the tree plus visible output names
+    (none for a write)."""
 
     root: PlanNode
     output_names: list[str]
@@ -281,19 +334,75 @@ class CatalogView:
             return DEFAULT_ROW_ESTIMATE
 
 
-def plan_select(
-    statement: "ast.SelectStatement | ast.UnionStatement",
-    catalog: Any,
-    feedback: "fb.CardinalityFeedback | None" = None,
-) -> QueryPlan:
-    """Plan a SELECT or UNION statement against the given catalog.
+#: the statements :func:`plan_select` plans: queries and writes
+PLANNED_STATEMENTS = (
+    ast.SelectStatement,
+    ast.UnionStatement,
+    ast.InsertStatement,
+    ast.UpdateStatement,
+    ast.DeleteStatement,
+)
+
+
+def plan_select(statement: Any, catalog: Any, feedback: "fb.CardinalityFeedback | None" = None) -> QueryPlan:
+    """Plan a SELECT, UNION, INSERT, UPDATE or DELETE statement against
+    the given catalog.
 
     With a ``feedback`` store the planner prefers observed cardinalities
-    over its static estimates and may reorder inner-join chains.
+    over its static estimates and may reorder inner-join chains. A write
+    is planned without it: its plan depends on the statement and the
+    schema alone.
     """
     if isinstance(statement, ast.UnionStatement):
         return _plan_union(statement, catalog, feedback)
-    return _Planner(CatalogView(catalog), feedback).plan(statement)
+    if isinstance(statement, ast.SelectStatement):
+        return _Planner(CatalogView(catalog), feedback).plan(statement)
+    if isinstance(statement, PLANNED_STATEMENTS):
+        return _plan_write(statement, catalog)
+    raise PlanError(f"cannot plan a {type(statement).__name__}")
+
+
+def _plan_write(statement: Any, catalog: Any) -> QueryPlan:
+    """``WriteNode`` over the rows the statement writes (see the module
+    docstring). Names the target does not have are refused here, as the
+    table would refuse them: an unknown column, or a row whose width is
+    not the number of columns it fills."""
+    table = catalog.table(statement.table)
+    if getattr(table, "is_virtual", False):
+        raise PlanError(f"cannot write to virtual table {statement.table!r}")
+    schema = table.schema
+    if isinstance(statement, ast.InsertStatement):
+        targets = [name.lower() for name in statement.columns or schema.column_names]
+        unknown = [name for name in targets if not schema.has_column(name)]
+        if unknown and not getattr(table, "flexible", False):
+            raise SchemaError(f"table {table.name!r} is not flexible; unknown columns {unknown}")
+        if statement.select is not None:
+            source = plan_select(statement.select, catalog)
+            widths = [len(source.output_names)]
+            child: PlanNode = ProjectNode(
+                source.root,
+                [(ast.ColumnRef(name), target) for name, target in zip(source.output_names, targets)],
+            )
+        else:
+            widths = [len(row) for row in statement.rows]
+            child = ValuesNode(statement.rows, targets)
+        for width in widths:
+            if width != len(targets):
+                raise SchemaError(f"row has {width} values, {len(targets)} columns to fill")
+        columns = None if statement.columns is None else targets
+        return QueryPlan(WriteNode("insert", table.name, child, columns=columns), [])
+    kind, assignments = "delete", []
+    if isinstance(statement, ast.UpdateStatement):
+        kind = "update"
+        assignments = [(column.lower(), expr) for column, expr in statement.assignments]
+    refs = [ast.ColumnRef(column) for column, _expr in assignments]
+    for expr in [expr for _column, expr in assignments] + [statement.where]:
+        refs.extend(ast.collect_column_refs(expr))
+    for ref in refs:
+        if ref.table not in (None, table.name) or not schema.has_column(ref.name):
+            raise ColumnNotFoundError(ref.table or table.name, ref.name)
+    scan = ScanNode(table.name, table.name, [], statement.where, row_ids=True)
+    return QueryPlan(WriteNode(kind, table.name, scan, assignments), [])
 
 
 def _plan_union(
@@ -356,6 +465,9 @@ class _Planner:
         if statement.from_table is None:
             return self._plan_projection_only(statement)
 
+        # stars expand against the statement as written: a join order
+        # chosen from feedback must not reorder the answer's columns
+        items = self._expand_items(statement)
         statement = self._maybe_reorder_joins(statement)
 
         sources: dict[str, PlanNode] = {}
@@ -440,10 +552,7 @@ class _Planner:
         if leftover is not None:
             tree = FilterNode(tree, leftover)
 
-        # 4. expand stars now that sources are known
-        items = self._expand_items(statement)
-
-        # 5. aggregation
+        # 4. aggregation
         has_aggregates = bool(statement.group_by) or any(
             ast.contains_aggregate(item.expr) for item in items
         )
@@ -462,13 +571,13 @@ class _Planner:
         else:
             order_exprs = list(statement.order_by)
 
-        # 6. projection with output naming
+        # 5. projection with output naming
         named_items = self._name_items(items)
         project = ProjectNode(tree, named_items)
         output_names = [name for _, name in named_items]
         tree = project
 
-        # 7. order by — resolve to output columns, adding hidden ones if needed
+        # 6. order by — resolve to output columns, adding hidden ones if needed
         sort_keys: list[tuple[str, bool]] = []
         for expr, ascending in order_exprs:
             name = self._resolve_order_key(expr, named_items)
@@ -856,47 +965,62 @@ def _node_expressions(node: PlanNode) -> list[ast.Expr]:
     return []
 
 
-def _rewrite(expr: ast.Expr | None, mapping: dict[str, ast.Expr]) -> ast.Expr | None:
-    """Replace sub-expressions (matched by their string form) per mapping."""
-    if expr is None:
-        return None
+def _rewrite(expr: Any, mapping: dict[str, ast.Expr]) -> Any:
+    """Replace sub-expressions (matched by their string form) per mapping;
+    ``expr`` may also be a tuple of them, or ``None``."""
+    if isinstance(expr, tuple):
+        return tuple(_rewrite(item, mapping) for item in expr)
+    if not isinstance(expr, ast.Expr):
+        return expr
     replacement = mapping.get(str(expr))
     if replacement is not None:
         return replacement
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, _rewrite(expr.left, mapping), _rewrite(expr.right, mapping))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _rewrite(expr.operand, mapping))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_rewrite(expr.operand, mapping), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _rewrite(expr.operand, mapping),
-            tuple(_rewrite(item, mapping) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _rewrite(expr.operand, mapping),
-            _rewrite(expr.low, mapping),
-            _rewrite(expr.high, mapping),
-            expr.negated,
-        )
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(
-            expr.name,
-            tuple(_rewrite(arg, mapping) for arg in expr.args),
-            expr.distinct,
-        )
-    if isinstance(expr, ast.CaseWhen):
-        return ast.CaseWhen(
-            tuple(
-                (_rewrite(cond, mapping), _rewrite(result, mapping))
-                for cond, result in expr.branches
-            ),
-            _rewrite(expr.otherwise, mapping),
-        )
-    return expr
+    if not expr.children():  # a leaf stays the parse's own object
+        return expr
+    return dataclass_replace(expr, **{f.name: _rewrite(getattr(expr, f.name), mapping) for f in fields(expr)})
+
+
+def describe(node: PlanNode) -> str:
+    """A one-line operator label: :func:`explain`'s lines and the
+    profiler's (:mod:`repro.obs.profiler`)."""
+    if isinstance(node, ScanNode):
+        label = f"Scan {node.table} as {node.alias}" if node.table else "Scan <virtual row>"
+        if node.predicate is not None:
+            label += f" filter={node.predicate}"
+        return label + (" with row ids" if node.row_ids else "")
+    if isinstance(node, SubqueryScanNode):
+        return f"SubqueryScan as {node.alias}"
+    if isinstance(node, FilterNode):
+        return f"Filter {node.predicate}"
+    if isinstance(node, JoinNode):
+        keys = ", ".join(f"{l}={r}" for l, r in node.equi)
+        return f"Join[{node.kind}] {keys}".rstrip()
+    if isinstance(node, AggregateNode):
+        groups = ", ".join(name for _, name in node.group)
+        aggs = ", ".join(str(call) for call, _ in node.aggregates)
+        return f"Aggregate group=[{groups}] aggs=[{aggs}]"
+    if isinstance(node, ProjectNode):
+        names = ", ".join(name for _, name in node.items)
+        return f"Project [{names}]"
+    if isinstance(node, SortNode):
+        keys = ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in node.keys)
+        return f"Sort [{keys}]"
+    if isinstance(node, DistinctNode):
+        return "Distinct"
+    if isinstance(node, LimitNode):
+        return f"Limit {node.limit} offset {node.offset}"
+    if isinstance(node, UnionNode):
+        return f"Union[{'distinct' if node.distinct else 'all'}]"
+    if isinstance(node, ValuesNode):
+        return f"Values [{', '.join(node.columns)}] {len(node.rows)} row(s)"
+    if isinstance(node, WriteNode):
+        label = f"Write[{node.kind}] {node.table}"
+        if node.columns is not None:
+            label += f" ({', '.join(node.columns)})"
+        if node.assignments:
+            label += " set " + ", ".join(f"{column} = {expr}" for column, expr in node.assignments)
+        return label
+    return type(node).__name__
 
 
 def explain(plan: QueryPlan) -> str:
@@ -904,33 +1028,7 @@ def explain(plan: QueryPlan) -> str:
     lines: list[str] = []
 
     def visit(node: PlanNode, depth: int) -> None:
-        indent = "  " * depth
-        if isinstance(node, ScanNode):
-            extra = f" filter={node.predicate}" if node.predicate is not None else ""
-            lines.append(f"{indent}Scan {node.table} as {node.alias}{extra}")
-        elif isinstance(node, SubqueryScanNode):
-            lines.append(f"{indent}SubqueryScan as {node.alias}")
-        elif isinstance(node, FilterNode):
-            lines.append(f"{indent}Filter {node.predicate}")
-        elif isinstance(node, JoinNode):
-            keys = ", ".join(f"{l}={r}" for l, r in node.equi)
-            lines.append(f"{indent}Join[{node.kind}] {keys}")
-        elif isinstance(node, AggregateNode):
-            groups = ", ".join(name for _, name in node.group)
-            aggs = ", ".join(str(call) for call, _ in node.aggregates)
-            lines.append(f"{indent}Aggregate group=[{groups}] aggs=[{aggs}]")
-        elif isinstance(node, ProjectNode):
-            names = ", ".join(name for _, name in node.items)
-            lines.append(f"{indent}Project [{names}]")
-        elif isinstance(node, SortNode):
-            keys = ", ".join(f"{name} {'ASC' if asc else 'DESC'}" for name, asc in node.keys)
-            lines.append(f"{indent}Sort [{keys}]")
-        elif isinstance(node, DistinctNode):
-            lines.append(f"{indent}Distinct")
-        elif isinstance(node, LimitNode):
-            lines.append(f"{indent}Limit {node.limit} offset {node.offset}")
-        else:
-            lines.append(f"{indent}{type(node).__name__}")
+        lines.append("  " * depth + describe(node))
         for child in node.children():
             visit(child, depth + 1)
 

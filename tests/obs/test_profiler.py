@@ -99,8 +99,9 @@ class TestSessionProfile:
             profile.node("SortNode")
 
     def test_profile_rejects_non_select(self, erp_db):
-        with pytest.raises(PlanError):
-            erp_db.profile("DELETE FROM customers")
+        with pytest.raises(PlanError):  # DDL has no plan; a write has one (test_write_plans.py)
+            erp_db.profile("DROP TABLE customers")
+        assert erp_db.catalog.has_table("customers")
 
     def test_profile_works_without_obs_enabled(self, erp_db):
         """Profiling is explicit per-call; the global flag is irrelevant."""

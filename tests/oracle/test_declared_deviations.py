@@ -12,7 +12,7 @@ import sqlite3
 import pytest
 
 from repro.core.database import Database
-from repro.errors import SqlSyntaxError
+from repro.errors import SqlSyntaxError, TypeMismatchError
 
 
 @pytest.fixture
@@ -56,3 +56,20 @@ def test_subquery_predicates_are_rejected_by_the_parser(pair, sql):
     with pytest.raises(SqlSyntaxError):
         database.execute(sql)
     assert oracle.execute(sql).fetchall()  # sqlite answers them
+
+
+@pytest.mark.parametrize(
+    "value, expr, at_five",
+    [(2**63 - 1, "n + 1", 6), (-(2**63), "n - 1", 4), (2**62, "n * 2", 10), (-(2**63), "-n", -5)],
+)
+def test_integer_overflow_is_refused_not_wrapped(value, expr, at_five):
+    database = Database()
+    oracle = sqlite3.connect(":memory:")
+    for target in (database, oracle):
+        target.execute("CREATE TABLE big (n BIGINT)")
+        target.execute(f"INSERT INTO big VALUES ({value})")
+    with pytest.raises(TypeMismatchError, match="BIGINT out of range"):
+        database.execute(f"SELECT {expr} FROM big")
+    assert isinstance(oracle.execute(f"SELECT {expr} FROM big").fetchone()[0], float)  # sqlite: a REAL
+    database.execute("UPDATE big SET n = 5")
+    assert database.execute(f"SELECT {expr} FROM big").rows == [[at_five]]  # in range: exact
