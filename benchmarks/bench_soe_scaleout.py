@@ -135,10 +135,11 @@ def test_kernel_order(benchmark, reporter, rows, path):
     else:
         order = benchmark(np.argsort, keys, kind="stable")
     np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
-    reporter(
-        "E7",
-        metric="kernel-order",
-        rows=rows,
-        path=path,
-        median_us=round(benchmark.stats.stats.median * 1e6, 1),
-    )
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        reporter(
+            "E7",
+            metric="kernel-order",
+            rows=rows,
+            path=path,
+            median_us=round(benchmark.stats.stats.median * 1e6, 1),
+        )

@@ -157,9 +157,13 @@ def active() -> Iterator[None]:
         uninstall()
 
 
+#: read once: :func:`enabled` runs on every plan-cache hit; ``install()`` switches at run time
+_REQUESTED = enabled_from_env()
+
+
 def enabled() -> bool:
     """Should the database hooks verify (installed or env-requested)?"""
-    return _installed or enabled_from_env()
+    return _installed or _REQUESTED
 
 
 # --------------------------------------------------------------------------

@@ -485,8 +485,9 @@ class ColumnTable(Table):
 
     # -- schema (flexible tables) ---------------------------------------------------
 
-    def ensure_columns(self, row: Mapping[str, Any], default_dtype: DataType) -> None:
-        """Create columns referenced by ``row`` that do not exist yet.
+    def ensure_columns(self, row: Mapping[str, Any], default_dtype: DataType) -> bool:
+        """Create columns referenced by ``row`` that do not exist yet;
+        returns whether the schema grew (plans made before it are stale).
 
         This is the flexible-table behaviour of Section II.H: "metadata
         about unknown columns are automatically created as soon as records
@@ -498,13 +499,15 @@ class ColumnTable(Table):
                 raise SchemaError(
                     f"table {self.name!r} is not flexible; unknown columns {unknown}"
                 )
-            return
+            return False
+        width = len(self.schema.columns)
         for key in row:
             if not self.schema.has_column(key):
                 spec = ColumnSpec(key, default_dtype)
                 self.schema.add_column(spec)
                 for partition in self.partitions:
                     partition.add_column(spec)
+        return len(self.schema.columns) > width
 
     # -- key enforcement --------------------------------------------------------------
 

@@ -263,9 +263,17 @@ def approx_column_bytes(column: Column) -> int:
     """:func:`approx_values_bytes` of a column in array form: a coded column
     is sized per table entry, numbers without a visit to the rows."""
     if isinstance(column, Coded):
-        sizes = [approx_values_bytes((value,)) for value in column.values.tolist()]
-        return int(np.asarray(sizes)[column.codes].sum())
-    return approx_values_bytes(column.tolist()) if column.dtype == object else 8 * len(column)
+        return int(_entry_bytes(column.values)[column.codes].sum())
+    return int(_entry_bytes(column).sum()) if column.dtype == object else 8 * len(column)
+
+
+def _entry_bytes(values: np.ndarray) -> np.ndarray:
+    """:func:`approx_values_bytes` of each entry of an object array, with
+    no Python-level loop: ``map`` over built-ins, iterated in C."""
+    sizes = np.full(len(values), 8, dtype=np.int64)
+    strings = np.fromiter(map(isinstance, values, itertools.repeat(str)), dtype=bool, count=len(values))
+    sizes[strings] = np.fromiter(map(len, values[strings]), dtype=np.int64, count=int(strings.sum())) + 1
+    return sizes
 
 
 def approx_row_bytes(row: Any) -> int:

@@ -78,8 +78,14 @@ class PrepackagedPartition:
             self._pending[name].append(value)
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> None:
-        for row in rows:
-            self.append_row(row)
+        """Append rows column by column: one transposition, no call per row
+        (a bulk load's path; a replicated write appends its few rows one
+        by one)."""
+        widths = set(map(len, rows)) - {len(self.columns)}
+        if widths:
+            raise SoeError(f"row width {min(widths)} != {len(self.columns)} for {self.table}")
+        for name, values in zip(self.columns, zip(*rows)):
+            self._pending[name].extend(values)
 
     def delete_where(self, column: str, value: Any) -> int:
         """Delete the rows whose ``column`` equals ``value`` (compacting; SOE
@@ -191,24 +197,31 @@ def hash_partition_rows(
         PrepackagedPartition(table, partition_id, columns)
         for partition_id in range(partition_count)
     ]
+    routed: list[list[Sequence[Any]]] = [[] for _ in partitions]
     for row in rows:
-        partitions[route_row(row, key_positions, partition_count)].append_row(row)
+        routed[route_row(row, key_positions, partition_count)].append(row)
+    for partition, bucket in zip(partitions, routed):
+        partition.append_rows(bucket)
     return partitions
 
 
 def route_row(row: Sequence[Any], key_positions: Sequence[int], partition_count: int) -> int:
-    """Partition ordinal for one row: the SOE's one hash-routing rule."""
+    """Partition ordinal for one row: the SOE's one hash-routing rule, the
+    CRC-32 of the key values' reprs joined by ``\\x1f``."""
+    if len(key_positions) == 1:
+        return zlib.crc32(repr(row[key_positions[0]]).encode()) % partition_count
     key = "\x1f".join(repr(row[position]) for position in key_positions)
     return zlib.crc32(key.encode("utf-8")) % partition_count
 
 
 def route_column(keys: Column, partition_count: int) -> np.ndarray:
     """:func:`route_row`'s ordinal for every row of a single-column key,
-    worked out once per distinct key value."""
+    hashed once per distinct key value with no Python-level loop: ``map``
+    over built-ins, iterated in C."""
     ids, first = group_ids([keys], len(keys))
     distinct = python_values(keys[first])
-    ordinals = [route_row((value,), (0,), partition_count) for value in distinct]
-    return np.asarray(ordinals, dtype=np.int64)[ids]
+    hashes = map(zlib.crc32, map(str.encode, map(repr, distinct)))
+    return (np.fromiter(hashes, dtype=np.int64, count=len(distinct)) % partition_count)[ids]
 
 
 class LocalStore:

@@ -14,6 +14,7 @@ grouping and reductions are the shared kernels of :mod:`repro.sql.kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -72,7 +73,13 @@ class HashTable:
     payload: list[Column]
 
     def size_bytes(self) -> int:
-        """A hash table ships each distinct key once, then every payload row."""
+        return self._wire_bytes
+
+    @cached_property
+    def _wire_bytes(self) -> int:
+        """A hash table ships each distinct key once, then every payload
+        row. Worked out once per table: a broadcast ships one table to
+        every node."""
         _ids, first = group_ids([self.key], len(self.key))
         return sum(map(approx_column_bytes, [self.key[first], *self.payload]))
 
@@ -146,8 +153,13 @@ class GroupStates:
                 values[counts == 0] = None
             columns.append(python_values(values))
         rows = list(map(list, zip(*columns))) if columns else [[] for _ in range(self.groups)]
-        rows.sort(key=lambda row: tuple(map(repr, row[: len(self.keys)])))
-        return rows
+        if not self.keys:
+            return rows
+        # one stable sort over a repr array per key column, the first key
+        # last: NumPy compares ``U`` strings by code point, as Python does
+        reprs = [np.array(list(map(repr, key))) for key in columns[: len(self.keys)]]
+        order = np.lexsort(reprs[::-1])
+        return list(map(rows.__getitem__, order.tolist()))
 
 
 @dataclass

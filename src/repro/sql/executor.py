@@ -294,7 +294,7 @@ def _write(
         raise PlanError("a write runs inside a transaction")
     table = context.database.catalog.table(node.table)
     if node.kind == "insert":
-        return Batch({}, _insert(node, table, child, txn))
+        return Batch({}, _insert(node, table, child, context))
     positions = child.columns[f"{node.table}.{ROW_POSITION}"]
     count = child.length
     if not count:
@@ -322,9 +322,11 @@ def _write(
     return Batch({}, count)
 
 
-def _insert(node: WriteNode, table: Any, child: Batch, txn: Any) -> int:
+def _insert(node: WriteNode, table: Any, child: Batch, context: ExecutionContext) -> int:
     """Insert the child's rows as one set; a single row takes
-    ``table.insert``, the same write under its own name."""
+    ``table.insert``, the same write under its own name. A flexible table
+    that grows a column drops its cached plans, as DDL does."""
+    txn = context.txn
     count = child.length
     if not count:
         return 0
@@ -332,8 +334,8 @@ def _insert(node: WriteNode, table: Any, child: Batch, txn: Any) -> int:
     if not isinstance(node.child, ValuesNode):  # a ValuesNode's cells are exact Python values
         columns = [python_values(column) for column in columns]
     if node.columns is not None:
-        if isinstance(table, ColumnTable):
-            table.ensure_columns(dict.fromkeys(node.columns), VARCHAR)
+        if isinstance(table, ColumnTable) and table.ensure_columns(dict.fromkeys(node.columns), VARCHAR):
+            context.database.plan_cache.invalidate_table(table.name)
         named = dict(zip(node.columns, columns))
         columns = [named.get(name.lower(), [None] * count) for name in table.schema.column_names]
     if count == 1:

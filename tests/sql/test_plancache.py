@@ -205,6 +205,20 @@ class TestCacheBehaviour:
         db.execute("SELECT COUNT(*) FROM t WHERE id < 10")
         assert db.plan_cache.stats()["hits"] == 0
 
+    def test_flexible_column_growth_invalidates(self):
+        answers = {}
+        for enabled in (True, False):
+            db = Database()
+            db.plan_cache_enabled = enabled
+            db.execute("CREATE FLEXIBLE TABLE f (id INT)")
+            db.execute("INSERT INTO f (id) VALUES (1)")
+            for _ in range(3):
+                db.execute("SELECT * FROM f WHERE id > 0")
+            db.execute("INSERT INTO f (id, color) VALUES (2, 'red')")
+            result = db.execute("SELECT * FROM f WHERE id > 0")
+            answers[enabled] = (result.columns, result.rows)
+        assert answers[True] == answers[False] == (["id", "color"], [[1, None], [2, "red"]])
+
     def test_capacity_is_bounded_with_lru_eviction(self):
         db = traffic_db()
         db.plan_cache = plancache.PlanCache(capacity=2)
