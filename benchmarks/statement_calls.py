@@ -1,4 +1,4 @@
-"""Counted work per statement: cProfile ``total_calls`` of one run.
+"""Counted work per statement: the Python calls of one run, under cProfile.
 
 A Python call count does not drift with the machine's load, so two
 commits compare exactly where wall times need paired runs. The table is
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import datetime
-import pstats
 import random
 
 from repro.core.database import Database
@@ -62,7 +61,9 @@ def main() -> None:
         profile.enable()
         db.execute(sql.format(keys[run - 1]))
         profile.disable()
-        counts[name] = pstats.Stats(profile).total_calls
+        # summed per code object: ``pstats`` merges code objects that share
+        # a (file, line, name) key, such as comprehensions on one line
+        counts[name] = sum(entry.callcount for entry in profile.getstats())
         print(f"{name}: {counts[name]}")
     print(f"UPDATE / point read: {counts['keyed UPDATE'] / counts['point read']:.2f}")
 

@@ -21,7 +21,7 @@ from repro.columnstore.column import DeltaColumn, MainColumn
 from repro.columnstore.table import ColumnTable, TablePartition
 from repro.errors import AgingError
 
-from repro.util.arrays import GrowableInt64
+from repro.util.arrays import GrowableArray
 
 AGED_TAG = "aged"
 
@@ -122,8 +122,8 @@ def evict_partition(partition: TablePartition, directory: str | Path) -> Path:
     partition.delta = {
         key: DeltaColumn(column.dtype) for key, column in partition.delta.items()
     }
-    partition.created = GrowableInt64()
-    partition.deleted = GrowableInt64()
+    partition.created = GrowableArray()
+    partition.deleted = GrowableArray()
     return path
 
 
@@ -137,8 +137,8 @@ def reload_partition(partition: TablePartition) -> None:
         with open(partition.storage_path, "rb") as handle:
             payload = pickle.load(handle)
         partition.main = payload["main"]
-        partition.created = GrowableInt64(payload["created"])
-        partition.deleted = GrowableInt64(payload["deleted"])
+        partition.created = GrowableArray(payload["created"])
+        partition.deleted = GrowableArray(payload["deleted"])
         partition.is_loaded = True
     obs.count("aging.partitions_reloaded")
 

@@ -13,13 +13,10 @@ the engine picks a physical encoding per column based on the data's shape
   sparse columns").
 
 All encodings answer the same read API so the scan layer is agnostic:
-``decode()``, ``take(positions)``, ``scan_eq(vid)``, ``__len__``,
-``memory_bytes()``.
+``decode()``, ``take(positions)``, ``__len__``, ``memory_bytes()``.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -46,10 +43,6 @@ class EncodedVector:
         """Value ids at ``positions`` (int64)."""
         raise NotImplementedError
 
-    def scan_eq(self, vid: int) -> np.ndarray:
-        """Boolean mask of positions whose value id equals ``vid``."""
-        raise NotImplementedError
-
     def memory_bytes(self) -> int:
         """Approximate compressed footprint in bytes."""
         raise NotImplementedError
@@ -71,9 +64,6 @@ class BitPackedVector(EncodedVector):
 
     def take(self, positions: np.ndarray) -> np.ndarray:
         return self._data[positions].astype(np.int64)
-
-    def scan_eq(self, vid: int) -> np.ndarray:
-        return self._data == vid
 
     def memory_bytes(self) -> int:
         return self._data.nbytes
@@ -114,16 +104,6 @@ class RunLengthVector(EncodedVector):
             return np.empty(0, dtype=np.int64)
         run_index = np.searchsorted(self._starts, positions, side="right") - 1
         return self._values[run_index]
-
-    def scan_eq(self, vid: int) -> np.ndarray:
-        mask = np.zeros(self._length, dtype=bool)
-        if self._length == 0:
-            return mask
-        lengths = np.diff(np.append(self._starts, self._length))
-        for start, length, value in zip(self._starts, lengths, self._values):
-            if value == vid:
-                mask[start : start + length] = True
-        return mask
 
     def memory_bytes(self) -> int:
         return self._starts.nbytes + self._values.nbytes
@@ -170,15 +150,6 @@ class SparseVector(EncodedVector):
             out[hit] = self._values[found[hit]].astype(np.int64)
         return out
 
-    def scan_eq(self, vid: int) -> np.ndarray:
-        if vid == self._default:
-            mask = np.ones(self._length, dtype=bool)
-            mask[self._positions] = self._values == vid
-            return mask
-        mask = np.zeros(self._length, dtype=bool)
-        mask[self._positions[self._values == vid]] = True
-        return mask
-
     def memory_bytes(self) -> int:
         return self._positions.nbytes + self._values.nbytes + 8
 
@@ -221,11 +192,3 @@ def compression_report(encoded: EncodedVector) -> dict[str, float | str]:
         "compressed_bytes": float(encoded.memory_bytes()),
         "ratio": raw_bytes / max(encoded.memory_bytes(), 1),
     }
-
-
-def concat_decoded(parts: Iterable[EncodedVector]) -> np.ndarray:
-    """Decode and concatenate multiple encoded vectors."""
-    arrays = [part.decode() for part in parts]
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(arrays)

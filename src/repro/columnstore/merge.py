@@ -23,7 +23,7 @@ from repro.columnstore.column import DeltaColumn, MainColumn
 from repro.columnstore.compression import NULL_VID, choose_encoding
 from repro.columnstore.table import ColumnTable, TablePartition
 from repro.transaction.mvcc import INF_CID
-from repro.util.arrays import GrowableInt64
+from repro.util.arrays import GrowableArray
 
 
 @dataclass
@@ -102,7 +102,10 @@ def _merge_partition_body(
         delta: DeltaColumn = partition.delta[key]
         stats.columns_processed += 1
         dictionary = main.dictionary
-        remap = dictionary.encode_many(delta.values)
+        entries, rows = delta.entries()  # encoded once each; the rows follow by a gather
+        if isinstance(entries, np.ndarray) and not isinstance(dictionary.values, np.ndarray):
+            entries = entries.tolist()  # a list dictionary holds Python values
+        remap = dictionary.encode_many(entries)
 
         old_vids = main.encoded.decode()
         if remap is not None:
@@ -112,7 +115,7 @@ def _merge_partition_body(
             stats.columns_remapped += 1
             stats.ids_rewritten += int(np.count_nonzero(non_null))
 
-        delta_vids = dictionary.vids_of(delta.values)
+        delta_vids = np.append(dictionary.vids_of(entries), NULL_VID)[rows]
         vids = np.concatenate([old_vids, delta_vids]) if len(delta_vids) else old_vids
         if keep is not None:
             vids = vids[keep]
@@ -120,8 +123,8 @@ def _merge_partition_body(
         partition.delta[key] = DeltaColumn(main.dtype)
 
     if keep is not None:
-        partition.created = GrowableInt64(partition.created.view()[keep])
-        partition.deleted = GrowableInt64(partition.deleted.view()[keep])
+        partition.created = GrowableArray(partition.created.view()[keep])
+        partition.deleted = GrowableArray(partition.deleted.view()[keep])
     # else: stamps already span main+delta positionally; nothing to do —
     # the delta rows simply became the tail of the new main.
 

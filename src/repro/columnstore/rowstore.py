@@ -21,7 +21,7 @@ from repro.columnstore.table import RowVersions, Table
 from repro.core.schema import TableSchema
 from repro.transaction.manager import Transaction
 from repro.transaction.mvcc import visible_mask
-from repro.util.arrays import GrowableInt64
+from repro.util.arrays import GrowableArray
 
 
 class RowTable(RowVersions, Table):
@@ -31,8 +31,8 @@ class RowTable(RowVersions, Table):
         self.name = name
         self.schema = schema
         self.rows: list[list[Any]] = []
-        self.created = GrowableInt64()
-        self.deleted = GrowableInt64()
+        self.created = GrowableArray()
+        self.deleted = GrowableArray()
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -630,9 +630,9 @@ class Database:
             return
         table = self.catalog.table(record["table"])
         if operation == "insert_many":
-            table.insert_many(zip(*record["columns"]), txn)
+            table.insert_columns(record["columns"], txn)
         elif operation == "delete_many":
-            columns = table.schema.coerce_columns(zip(*record["columns"]))
+            columns = table.schema.coerce_transposed(record["columns"])
             ordinals, positions = table.locate(columns, txn.snapshot_cid, txn.tid)
             if len(positions):
                 table.delete_at(ordinals, positions, txn)

@@ -205,21 +205,32 @@ def hash_partition_rows(
     return partitions
 
 
+def _canonical(value: Any) -> Any:
+    """The value a key hashes as: equal keys must hash alike, so a bool or
+    an integral float hashes as its int (``-0.0`` as ``0``)."""
+    if type(value) is bool or (type(value) is float and value.is_integer()):
+        return int(value)
+    return value
+
+
 def route_row(row: Sequence[Any], key_positions: Sequence[int], partition_count: int) -> int:
     """Partition ordinal for one row: the SOE's one hash-routing rule, the
-    CRC-32 of the key values' reprs joined by ``\\x1f``."""
+    CRC-32 of the canonical key values' reprs joined by ``\\x1f``."""
     if len(key_positions) == 1:
-        return zlib.crc32(repr(row[key_positions[0]]).encode()) % partition_count
-    key = "\x1f".join(repr(row[position]) for position in key_positions)
+        key = row[key_positions[0]]
+        return zlib.crc32(repr(_canonical(key) if type(key) in (bool, float) else key).encode()) % partition_count
+    key = "\x1f".join(repr(_canonical(row[position])) for position in key_positions)
     return zlib.crc32(key.encode("utf-8")) % partition_count
 
 
 def route_column(keys: Column, partition_count: int) -> np.ndarray:
     """:func:`route_row`'s ordinal for every row of a single-column key,
-    hashed once per distinct key value with no Python-level loop: ``map``
-    over built-ins, iterated in C."""
+    hashed once per distinct key value: ``map`` over built-ins, iterated in
+    C, canonicalised per distinct value only where a float or bool is one."""
     ids, first = group_ids([keys], len(keys))
     distinct = python_values(keys[first])
+    if keys.dtype.kind not in "iu" and not {bool, float}.isdisjoint(map(type, distinct)):
+        distinct = list(map(_canonical, distinct))
     hashes = map(zlib.crc32, map(str.encode, map(repr, distinct)))
     return (np.fromiter(hashes, dtype=np.int64, count=len(distinct)) % partition_count)[ids]
 

@@ -19,16 +19,15 @@ evaluation is NumPy-vectorised. At the leaves, scans
 
 **The scan contract is codes first, values last** (the dictionary-encoded
 scan of Section II.A). A scan reads only the columns the planner left in
-``ScanNode.columns``. Per partition, :func:`filter_positions` turns each
-``column <op> literal(s)`` conjunct
-into a dictionary lookup plus an integer test on the main fragment's value
-ids, so the predicate runs before anything is decoded; the delta fragment
-and every other conjunct go through ``evaluate`` over the predicate's
+``ScanNode.columns``. Per partition, :func:`filter_positions` tests each
+``column <op> literal(s)`` conjunct on what main and delta store (codes,
+or typed delta values), so the predicate runs before anything is decoded;
+every other conjunct goes through ``evaluate`` over the predicate's
 columns only. Which positions that starts from is :func:`access_path`'s
 choice: all visible rows, or — for
 ``key = literal`` / ``key IN (literals)`` on a declared single-column
 primary key — the few the key column's position indexes name.
-:func:`_read_column` then decodes the surviving positions:
+:meth:`TablePartition.take` then decodes the surviving positions:
 numbers and booleans to the arrays ``column_array`` would give, strings
 and dates to a :class:`~repro.sql.expressions.Coded` column (codes plus
 value table). Coded columns stay coded through filters, gathers, joins
@@ -81,9 +80,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import obs
-from repro.columnstore.column import MainColumn
-from repro.columnstore.compression import NULL_VID
-from repro.columnstore.dictionary import SortedDictionary
 from repro.columnstore.partition import CompositePartitioning, RangePartitioning
 from repro.columnstore.table import ColumnTable, TablePartition
 from repro.core.types import VARCHAR, TypeCode
@@ -96,7 +92,6 @@ from repro.sql.expressions import (
     Coded,
     Column,
     as_float,
-    concat_columns,
     evaluate,
     python_values,
 )
@@ -330,9 +325,8 @@ def _insert(node: WriteNode, table: Any, child: Batch, context: ExecutionContext
     count = child.length
     if not count:
         return 0
-    columns = list(child.columns.values())
-    if not isinstance(node.child, ValuesNode):  # a ValuesNode's cells are exact Python values
-        columns = [python_values(column) for column in columns]
+    exact = isinstance(node.child, ValuesNode)  # a ValuesNode's cells are exact Python values
+    columns = [column if exact else python_values(column) for column in child.columns.values()]
     if node.columns is not None:
         if isinstance(table, ColumnTable) and table.ensure_columns(dict.fromkeys(node.columns), VARCHAR):
             context.database.plan_cache.invalidate_table(table.name)
@@ -341,7 +335,7 @@ def _insert(node: WriteNode, table: Any, child: Batch, context: ExecutionContext
     if count == 1:
         table.insert([column[0] for column in columns], txn)
         return 1
-    return table.insert_many(zip(*columns), txn)
+    return table.insert_columns(list(map(list, columns)), txn)
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +441,7 @@ def _execute_scan_uncached(node: ScanNode, context: ExecutionContext) -> Batch:
         obs.count("sql.executor.rows_scanned", len(positions))
         positions = filter_positions(partition, positions, conjuncts, node.alias, context)
         columns = {
-            f"{node.alias}.{name}": _read_column(partition, name, positions)
+            f"{node.alias}.{name}": partition.take(name, positions)
             for name in map(str.lower, node.columns)
         }
         if row_ids:
@@ -505,8 +499,6 @@ _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 _INTEGER_TYPES = (TypeCode.INTEGER, TypeCode.BIGINT)
 _FLOAT_TYPES = (TypeCode.DOUBLE, TypeCode.DECIMAL)
-#: types a scan hands on decoded; every other type leaves it as a Coded column
-_ARRAY_TYPES = _INTEGER_TYPES + _FLOAT_TYPES + (TypeCode.BOOLEAN,)
 
 
 def filter_positions(
@@ -520,46 +512,25 @@ def filter_positions(
     every conjunct — the one WHERE evaluation of every scan, a write's
     included.
 
-    *Codes first*: on the main fragment a ``column <op> literal(s)``
-    conjunct is a dictionary lookup plus an integer test on value ids
-    (:func:`_main_mask`), which narrows the positions before anything is
-    decoded. The same conjuncts see the delta fragment's exact Python
-    values. Whatever cannot be put that way is handed to
+    *Codes first*: a ``column <op> literal(s)`` conjunct is tested on what
+    each fragment stores (:meth:`TablePartition.mask`), which narrows the
+    positions before anything is decoded. Whatever cannot be put that way
+    is handed to
     :func:`~repro.sql.expressions.evaluate` over the surviving rows and
     the columns it references, nothing else, keyed ``alias.column``.
     """
-    if not conjuncts:
-        return positions
-    n_main = partition.n_main
-    split = int(np.searchsorted(positions, n_main))
-    main, delta = positions[:split], positions[split:]
-    prefix = f"{alias}."
-
-    on_codes: list[ast.Expr] = []
-    code_columns: set[str] = set()
     residual: list[ast.Expr] = []
     for conjunct in conjuncts:
         test = _code_test(conjunct, alias, partition)
-        mask = None if test is None else _main_mask(partition.main[test[0]], main, *test[1:])
-        if mask is None:
+        if test is None:
             residual.append(conjunct)
         else:
-            main = main[mask]
-            on_codes.append(conjunct)
-            code_columns.add(test[0])
-    if on_codes and len(delta):
-        exact = {
-            prefix + name: _delta_rows(partition, name, delta, exact=True)
-            for name in code_columns
-        }
-        mask = evaluate(ast.and_together(on_codes), Batch(exact, len(delta)), context)
-        delta = delta[np.asarray(mask, dtype=bool)]
-    positions = np.concatenate([main, delta])
+            positions = positions[partition.mask(test[0], positions, *test[1:])]
     if residual and len(positions):
         predicate = ast.and_together(residual)
         names = {ref.name for ref in ast.collect_column_refs(predicate)}
         columns = {
-            prefix + name: _read_column(partition, name, positions)
+            f"{alias}.{name}": partition.take(name, positions)
             for name in sorted(names & partition.main.keys())
         }
         mask = evaluate(predicate, Batch(columns, len(positions)), context)
@@ -612,87 +583,6 @@ def _fits(stored: TypeCode, value: Any) -> bool:
     if stored in _FLOAT_TYPES:  # float64 holds these ints exactly
         return kind is float or (kind is int and abs(value) <= 2**53)
     return kind is str and stored is TypeCode.VARCHAR
-
-
-def _main_mask(
-    column: MainColumn, positions: np.ndarray, op: str, literals: tuple[Any, ...], negated: bool
-) -> np.ndarray | None:
-    """``column <op> literals`` at main-fragment positions, on value ids.
-
-    ``vid_of`` answers :data:`NULL_VID` for a literal the dictionary does
-    not hold — the id the NULL rows carry — so an absent literal is
-    skipped, never compared. Ranges need value order to be id order,
-    which only a :class:`SortedDictionary` promises; for an append-order
-    dictionary the answer is None and the caller compares values.
-    """
-    dictionary, encoded = column.dictionary, column.encoded
-    if op in ("=", "<>", "IN"):
-        hit = np.zeros(len(positions), dtype=bool)
-        for literal in literals:
-            vid = dictionary.vid_of(literal)
-            if vid != NULL_VID:
-                hit |= encoded.scan_eq(vid)[positions]
-        if op != "<>" and not negated:
-            return hit
-        return ~hit & ~encoded.scan_eq(NULL_VID)[positions]
-    if not isinstance(dictionary, SortedDictionary):
-        return None  # append order: value ids say nothing about value order
-    if op == "BETWEEN":
-        low, high = dictionary.range_vids(*literals)
-    elif op in ("<", "<="):
-        low, high = dictionary.range_vids(high=literals[0], high_inclusive=op == "<=")
-    else:
-        low, high = dictionary.range_vids(low=literals[0], low_inclusive=op == ">=")
-    vids = encoded.take(positions)
-    inside = (vids >= low) & (vids < high)  # low >= 0 keeps NULL_VID out
-    return ~inside & (vids != NULL_VID) if negated else inside
-
-
-def _delta_rows(
-    partition: TablePartition, name: str, positions: np.ndarray, exact: bool = False
-) -> np.ndarray:
-    """One column's delta-fragment rows at the given partition positions,
-    and only those (counted on ``sql.executor.delta_values_read``).
-
-    :meth:`DeltaColumn.array` at those rows — or, ``exact``, the stored
-    Python values as an object array: an INTEGER delta holding a NULL is
-    ``float64`` in the former, too coarse to compare beyond 2**53.
-    """
-    delta = partition.delta[name]
-    local = positions - partition.n_main
-    obs.count("sql.executor.delta_values_read", len(local))
-    if exact:
-        return np.asarray(delta.values_at(local), dtype=object)
-    return delta.array(local)
-
-
-def _read_column(partition: TablePartition, name: str, positions: np.ndarray) -> Column:
-    """One column at the given (ascending) positions — *values last*.
-
-    Numeric and boolean columns come back as ``column_array(name)[positions]``
-    would (the dtype follows the whole fragments: an INTEGER column is
-    ``float64`` once any of its rows is NULL) without decoding any other
-    row — main or delta; every other type as a :class:`Coded` column over
-    the main dictionary's decode table plus the delta rows read. The delta
-    is read only where the positions reach into it — or, for a numeric
-    column, as an empty slice when that sets the dtype (no main fragment,
-    or a delta holding a NULL).
-    """
-    main = partition.main[name]
-    split = int(np.searchsorted(positions, len(main)))
-    coded = main.dtype.code not in _ARRAY_TYPES
-    parts: list[Column] = []
-    if len(main):
-        vids = main.encoded.take(positions[:split])
-        parts.append(Coded(vids, main.lookup()) if coded else main.lookup()[vids])
-    delta = partition.delta[name]
-    typed_by_delta = not coded and len(delta) and (not len(main) or delta.has_null())
-    if split < len(positions) or typed_by_delta:
-        values = _delta_rows(partition, name, positions[split:])
-        parts.append(Coded.from_values(values) if coded else values)
-    if not parts:
-        return np.empty(0, dtype=object)
-    return parts[0] if len(parts) == 1 else concat_columns(parts)
 
 
 def _simple_filter_triples(

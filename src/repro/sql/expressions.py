@@ -32,55 +32,8 @@ import numpy as np
 from repro.errors import ColumnNotFoundError, ExpressionError, TypeMismatchError
 from repro.sql import ast
 from repro.sql.context import ExecutionContext
+from repro.util.arrays import Coded, Column
 
-
-class Coded:
-    """An object-dtype column held as integer codes into a value table.
-
-    ``values[codes]`` is the column. ``values`` is an object array whose
-    last slot is ``None``, so the NULL code ``-1`` decodes to NULL without
-    a branch. The table may list a value more than once (several
-    dictionaries concatenated, delta rows): equal codes mean equal
-    values, not the converse.
-    """
-
-    __slots__ = ("codes", "values")
-
-    dtype = np.dtype(object)
-
-    def __init__(self, codes: np.ndarray, values: np.ndarray) -> None:
-        self.codes = codes
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, index: np.ndarray) -> "Coded":
-        return Coded(self.codes[index], self.values)
-
-    def decode(self) -> np.ndarray:
-        return self.values[self.codes]
-
-    @staticmethod
-    def from_values(array: np.ndarray) -> "Coded":
-        """Code an object array row by row (each non-NULL row its own code)."""
-        codes = np.arange(len(array), dtype=np.int64)
-        codes[is_null_mask(array)] = -1
-        return Coded(codes, np.append(array, None))
-
-    @staticmethod
-    def concat(parts: "list[Coded]") -> "Coded":
-        """Concatenate, appending the value tables and shifting the codes."""
-        codes, tables, offset = [], [], 0
-        for part in parts:
-            codes.append(np.where(part.codes < 0, -1, part.codes + offset))
-            tables.append(part.values[:-1])
-            offset += len(part.values) - 1
-        tables.append(np.array([None], dtype=object))
-        return Coded(np.concatenate(codes), np.concatenate(tables))
-
-
-Column = np.ndarray | Coded
 
 
 class Batch:

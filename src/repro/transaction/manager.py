@@ -42,7 +42,7 @@ class StampSlot:
     ``INF_CID`` on rollback.
 
     ``vector`` is any object supporting ``__setitem__(position, int)`` —
-    in practice a :class:`repro.util.arrays.GrowableInt64`. ``position``
+    in practice a :class:`repro.util.arrays.GrowableArray`. ``position``
     is one row, a ``slice`` of rows a batch appended together, or an
     index array of the rows one statement deleted.
     """

@@ -236,7 +236,7 @@ def test_a_partitioned_batch_goes_to_each_partition_once():
     assert len(txn._created_slots) == len(txn._redo_records) == len(used) > 1
     for row in rows:  # each row sits where the single-row path routes it
         ordinal = table.partitioning.route(row, table.schema)
-        assert row[0] in table.partitions[ordinal].delta["id"].values
+        assert len(table.partitions[ordinal].delta["id"].positions_of(row[0])) == 1
     database.commit(txn)
     assert sorted(table.scan_rows(database.txn_manager.last_committed_cid)) == rows
     with pytest.raises(DuplicateKeyError):

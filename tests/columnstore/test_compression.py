@@ -39,12 +39,6 @@ def test_take_matches_decode(encoding_case):
     assert np.array_equal(encoded.take(positions), vids[positions])
 
 
-def test_scan_eq_matches_decode(encoding_case):
-    encoded, vids = encoding_case
-    target = int(vids[7])
-    assert np.array_equal(encoded.scan_eq(target), vids == target)
-
-
 def test_bitpacked_narrows_dtype():
     small = BitPackedVector(np.arange(100, dtype=np.int64))
     assert small.memory_bytes() == 100  # int8

@@ -32,13 +32,6 @@ def test_all_encodings_agree(vids):
         assert np.array_equal(encoding.decode(), reference)
 
 
-@given(vid_lists, st.integers(0, 499))
-def test_scan_eq_equals_decoded_comparison(vids, probe):
-    array = np.asarray(vids, dtype=np.int64)
-    encoded = choose_encoding(array)
-    assert np.array_equal(encoded.scan_eq(probe), array == probe)
-
-
 @given(st.lists(st.integers(-1, 500), min_size=1, max_size=200), st.data())
 def test_take_matches_positions(vids, data):
     array = np.asarray(vids, dtype=np.int64)

@@ -69,6 +69,20 @@ def test_join_strategies_agree():
     assert results["broadcast"] == results["repartition"] == results["colocated"]
 
 
+def test_join_strategies_agree_on_equal_int_and_double_keys():
+    """``0 == 0.0``: an INT key meets the equal DOUBLE key on every path —
+    the shuffle of a repartition join and the placement a colocated join
+    relies on route equal keys alike."""
+    soe = SoeEngine(node_count=2)
+    soe.create_table("fact", ["k", "v"], ["k"], partition_count=4)
+    soe.create_table("dim", ["k", "grp"], ["k"], partition_count=4)
+    soe.load("fact", [[i % 8, 1.0] for i in range(64)])
+    soe.load("dim", [[float(k), f"g{k % 2}"] for k in range(8)])
+    for strategy in ("broadcast", "repartition", "colocated"):
+        rows, _cost = soe.join("fact", "dim", "k", "k", "grp", [("sum", "v")], strategy=strategy)
+        assert rows == [["g0", 32.0], ["g1", 32.0]], strategy
+
+
 def test_colocated_join_is_refused_unless_both_sides_are_partitioned_on_the_key():
     """``f`` is partitioned on ``id``, not on the join key ``k``: a node-local
     join would see only the dim rows that happen to share a partition."""

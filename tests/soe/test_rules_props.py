@@ -1,9 +1,10 @@
 """Property tests pinning the SOE's routing, result-order and sizing rules.
 
 Routing: a row's partition is the CRC-32 of its key values' reprs joined
-by ``\\x1f``, modulo the partition count (:func:`route_row`);
-:func:`route_column` gives every row of a key column the same ordinal as
-:func:`route_row` does row by row. Order: :meth:`GroupStates.rows` sorts
+by ``\\x1f``, modulo the partition count, where a bool or an integral
+float is first taken as its int, so equal keys route alike
+(:func:`route_row`); :func:`route_column` gives every row of a key column
+the same ordinal as :func:`route_row` does row by row. Order: :meth:`GroupStates.rows` sorts
 the merged groups by the tuple of their key values' reprs, stably.
 Sizing: a column in array form ships :func:`approx_values_bytes` of its
 values.
@@ -40,8 +41,14 @@ VALUES = st.one_of(
 PARTITIONS = st.integers(min_value=1, max_value=16)
 
 
+def canonical(value):
+    if isinstance(value, bool) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    return value
+
+
 def reference_route(key: list, partition_count: int) -> int:
-    return zlib.crc32("\x1f".join(map(repr, key)).encode("utf-8")) % partition_count
+    return zlib.crc32("\x1f".join(repr(canonical(value)) for value in key).encode("utf-8")) % partition_count
 
 
 @settings(max_examples=300, deadline=None)
@@ -53,14 +60,6 @@ def reference_route(key: list, partition_count: int) -> int:
 def test_route_row_is_crc32_of_the_joined_reprs(row, positions, partition_count):
     key = [row[position] for position in positions]
     assert route_row(row, positions, partition_count) == reference_route(key, partition_count)
-
-
-def one_repr_per_value(values: list) -> list:
-    """``values`` without a value equal to an earlier one under another
-    repr (``-0.0`` after ``0.0``, ``True`` after ``1``): a key column
-    groups equal values and routes each group by its first value's repr."""
-    first: dict = {}
-    return [value for value in values if first.setdefault(value, repr(value)) == repr(value)]
 
 
 def coded(draw_values: list, codes: list[int]) -> Coded:
@@ -75,13 +74,13 @@ def key_columns(draw):
     if kind == "int64":
         return np.asarray(draw(st.lists(INT64, max_size=40)), dtype=np.int64)
     if kind == "float64":
-        return np.asarray(one_repr_per_value(draw(st.lists(FLOATS, max_size=40))), dtype=np.float64)
+        return np.asarray(draw(st.lists(FLOATS, max_size=40)), dtype=np.float64)
     if kind == "object":
-        values = one_repr_per_value(draw(st.lists(VALUES, max_size=40)))
+        values = draw(st.lists(VALUES, max_size=40))
         column = np.empty(len(values), dtype=object)
         column[:] = values
         return column
-    table = one_repr_per_value(draw(st.lists(VALUES.filter(lambda v: v is not None), min_size=1, max_size=8)))
+    table = draw(st.lists(VALUES.filter(lambda v: v is not None), min_size=1, max_size=8))
     table += draw(st.lists(st.sampled_from(table), max_size=2))  # a table may list a value twice
     codes = draw(st.lists(st.integers(min_value=-1, max_value=len(table) - 1), max_size=40))
     return coded(table, codes)

@@ -1,11 +1,11 @@
 """Reads gather only their own delta rows.
 
 A point read pays for the rows it selects, not for the size of the delta
-next to them: ``_read_column`` touches a partition's delta only where the
-selected positions reach into it, and then gathers exactly those rows
-(counted on ``sql.executor.delta_values_read``). The dtype contract does
-not move: an INTEGER column whose delta holds a NULL anywhere is
-``float64``, exactly as ``column_array(name)[positions]`` is.
+next to them: a scan hands the delta fragment only the positions that
+reach into it — to test a conjunct (``DeltaColumn.mask``) or to read a
+column (``DeltaColumn.take``) — and never the whole fragment. The dtype
+contract does not move: an INTEGER column whose delta holds a NULL
+anywhere is ``float64``, exactly as ``column_array(name)[positions]`` is.
 """
 
 from __future__ import annotations
@@ -13,16 +13,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.columnstore.column import DeltaColumn
 from repro.core.database import Database
-from repro.sql.executor import _read_column
 
 MAIN_ROWS, DELTA_ROWS = 2_000, 1_000
 
 
 @pytest.fixture
-def database(monkeypatch):
+def gathered(monkeypatch):
+    """Every delta-local position handed to a delta fragment, in order."""
+    seen: list[int] = []
+
+    def counting(method):
+        def wrapper(self, positions, *args):
+            assert len(positions) < len(self), "a read gathered the whole delta"
+            seen.extend(np.asarray(positions).tolist())
+            return method(self, positions, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(DeltaColumn, "take", counting(DeltaColumn.take))
+    monkeypatch.setattr(DeltaColumn, "mask", counting(DeltaColumn.mask))
+    return seen
+
+
+@pytest.fixture
+def database():
     db = Database()
     db.execute("CREATE TABLE k (id INT PRIMARY KEY, v INT, s VARCHAR)")
     txn = db.begin()
@@ -34,48 +50,39 @@ def database(monkeypatch):
         ([i, i * 3, f"s{i % 7}"] for i in range(MAIN_ROWS, MAIN_ROWS + DELTA_ROWS)), txn
     )
     db.commit(txn)
-    whole = DeltaColumn.array
-
-    def gather_only(self, positions=None):
-        assert positions is not None, "a read decoded the whole delta"
-        return whole(self, positions)
-
-    monkeypatch.setattr(DeltaColumn, "array", gather_only)
     return db
 
 
-def delta_values_read(db: Database, sql: str) -> tuple[float, list]:
-    obs.enable()
-    counter = obs.registry().counter("sql.executor.delta_values_read")
-    before = counter.value
+def delta_values_read(db: Database, gathered: list[int], sql: str) -> tuple[int, list]:
+    before = len(gathered)
     rows = db.execute(sql).rows
-    return counter.value - before, rows
+    return len(gathered) - before, rows
 
 
-def test_point_read_of_a_main_key_gathers_no_delta_value(database):
+def test_point_read_of_a_main_key_gathers_no_delta_value(database, gathered):
     for key in (5, 1_234):
-        gathered, rows = delta_values_read(database, f"SELECT v, s FROM k WHERE id = {key}")
+        count, rows = delta_values_read(database, gathered, f"SELECT v, s FROM k WHERE id = {key}")
         assert rows == [[key * 3, f"s{key % 7}"]]
-        assert gathered == 0
+        assert count == 0
 
 
-def test_point_read_of_a_delta_key_gathers_one_value_per_column(database):
+def test_point_read_of_a_delta_key_gathers_one_value_per_column(database, gathered):
     key = MAIN_ROWS + 617
-    gathered, rows = delta_values_read(database, f"SELECT v, s FROM k WHERE id = {key}")
+    count, rows = delta_values_read(database, gathered, f"SELECT v, s FROM k WHERE id = {key}")
     assert rows == [[key * 3, f"s{key % 7}"]]
-    assert gathered == 3  # v, s, and the key column the scan also reads
+    assert count == 3  # v, s, and the key column the scan also reads
 
 
-def test_filter_on_delta_rows_gathers_only_the_candidates(database):
+def test_filter_on_delta_rows_gathers_only_the_candidates(database, gathered):
     # the key access path leaves two candidates; the codes-first filter
-    # tests `v` on the one delta row among them (exact values), and the
+    # tests `v` on the one delta row among them (typed values), and the
     # projection reads it once more
     key = MAIN_ROWS + 3
-    gathered, rows = delta_values_read(
-        database, f"SELECT s FROM k WHERE id IN (7, {key}) AND v > 0"
+    count, rows = delta_values_read(
+        database, gathered, f"SELECT s FROM k WHERE id IN (7, {key}) AND v > 0"
     )
     assert sorted(rows) == [["s0"], [f"s{key % 7}"]]
-    assert gathered == 4  # v for the filter, then id, s, v for the survivor
+    assert count == 4  # v for the filter, then id, s, v for the survivor
 
 
 @pytest.mark.parametrize("null_at", ["delta", "main"])
@@ -96,7 +103,7 @@ def test_an_integer_column_with_a_null_reads_as_float64(null_at):
     assert whole.dtype == np.float64
     for positions in ([1, 2], [1, 22], [21, 25], [], [3, 27]):
         picked = np.asarray(positions, dtype=np.int64)
-        got = _read_column(partition, "v", picked)
+        got = partition.take("v", picked)
         assert got.dtype == whole[picked].dtype, positions
         np.testing.assert_array_equal(got, whole[picked])
     got = db.execute("SELECT v FROM n WHERE id = 5").rows

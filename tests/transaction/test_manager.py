@@ -5,7 +5,7 @@ import pytest
 from repro.errors import InvalidTransactionStateError
 from repro.transaction.manager import TransactionManager, TxnState
 from repro.transaction.mvcc import INF_CID
-from repro.util.arrays import GrowableInt64
+from repro.util.arrays import GrowableArray
 
 
 def test_begin_assigns_increasing_tids_and_snapshot():
@@ -26,7 +26,7 @@ def test_read_only_commit_consumes_no_cid():
 
 def test_commit_stamps_slots():
     manager = TransactionManager()
-    vector = GrowableInt64()
+    vector = GrowableArray()
     txn = manager.begin()
     position = vector.append(txn.stamp)
     txn.record_insert(vector, position)
@@ -37,8 +37,8 @@ def test_commit_stamps_slots():
 
 def test_rollback_restores_slots():
     manager = TransactionManager()
-    created = GrowableInt64()
-    deleted = GrowableInt64()
+    created = GrowableArray()
+    deleted = GrowableArray()
     txn = manager.begin()
     created_pos = created.append(txn.stamp)
     deleted_pos = deleted.append(txn.stamp)
@@ -69,7 +69,7 @@ def test_commit_hooks_fire_with_cid():
     manager = TransactionManager()
     seen = []
     txn = manager.begin()
-    vector = GrowableInt64()
+    vector = GrowableArray()
     position = vector.append(txn.stamp)
     txn.record_insert(vector, position)
     txn.on_commit(seen.append)
@@ -81,7 +81,7 @@ def test_redo_writer_called_once_per_commit():
     written = []
     manager = TransactionManager(redo_writer=lambda records, cid: written.append((cid, records)))
     txn = manager.begin()
-    vector = GrowableInt64()
+    vector = GrowableArray()
     txn.record_insert(vector, vector.append(txn.stamp))
     txn.log_redo({"op": "insert"})
     manager.commit(txn)

@@ -1,13 +1,13 @@
-"""Tests for GrowableInt64."""
+"""Tests for GrowableArray."""
 
 import numpy as np
 import pytest
 
-from repro.util.arrays import GrowableInt64
+from repro.util.arrays import GrowableArray
 
 
 def test_append_and_indexing():
-    array = GrowableInt64()
+    array = GrowableArray()
     for value in range(100):
         position = array.append(value)
         assert position == value
@@ -21,7 +21,7 @@ def test_append_and_indexing():
 
 
 def test_setitem():
-    array = GrowableInt64()
+    array = GrowableArray()
     array.append(5)
     array[0] = 9
     assert array[0] == 9
@@ -30,7 +30,7 @@ def test_setitem():
 
 
 def test_view_is_zero_copy_prefix():
-    array = GrowableInt64()
+    array = GrowableArray()
     for value in range(10):
         array.append(value)
     view = array.view()
@@ -40,7 +40,7 @@ def test_view_is_zero_copy_prefix():
 
 
 def test_growth_beyond_initial_capacity():
-    array = GrowableInt64(capacity=2)
+    array = GrowableArray(capacity=2)
     for value in range(1000):
         array.append(value)
     assert len(array) == 1000
@@ -48,7 +48,7 @@ def test_growth_beyond_initial_capacity():
 
 
 def test_extend_bulk():
-    array = GrowableInt64()
+    array = GrowableArray()
     array.append(1)
     array.extend(np.arange(500))
     assert len(array) == 501
@@ -56,7 +56,7 @@ def test_extend_bulk():
 
 
 def test_init_from_existing_array():
-    array = GrowableInt64(np.array([7, 8, 9]))
+    array = GrowableArray(np.array([7, 8, 9]))
     assert len(array) == 3
     array.append(10)
     assert list(array.view()) == [7, 8, 9, 10]
