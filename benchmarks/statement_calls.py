@@ -34,6 +34,10 @@ STATEMENTS = {
         range(100_001, 100_011),
     ),
     "DELETE of an absent key": ("DELETE FROM orders WHERE order_id = {}", range(800_001, 800_011)),
+    "grouped SUM": (
+        "SELECT customer_id, SUM(amount) FROM orders WHERE order_id < {} GROUP BY customer_id",
+        range(1_000, 1_010),
+    ),
 }
 
 

@@ -14,7 +14,9 @@ Positions ``[0, n_main)`` address main rows, ``[n_main, n_main + n_delta)``
 delta rows. Both fragments answer one read interface on positions local to
 them: ``take`` (INTEGER/BIGINT as ``int64``, DOUBLE/DECIMAL ``float64``,
 BOOLEAN ``bool``, other types a :class:`~repro.util.arrays.Coded` column;
-with a NULL held, integers as ``float64`` and booleans as objects),
+with a NULL held, the dtype :func:`~repro.util.arrays.with_nulls` gives —
+the one values-to-column rule: floats keep NaN for NULL, integers and
+booleans become exact Python values beside ``None``),
 ``mask`` (``column <op> literals`` on the stored form), ``values_at``
 (exact values), ``positions_of`` / ``holding`` and ``has_null``.
 
@@ -41,7 +43,7 @@ from repro.columnstore.compression import (
 )
 from repro.columnstore.dictionary import AppendDictionary, SortedDictionary
 from repro.core.types import DataType, TypeCode
-from repro.util.arrays import Coded, Column, GrowableArray, stable_argsort
+from repro.util.arrays import Coded, Column, GrowableArray, stable_argsort, with_nulls
 
 Dictionary = SortedDictionary | AppendDictionary
 
@@ -66,15 +68,6 @@ _RANGE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.
 
 def _sorted_dictionary_for(dtype: DataType) -> SortedDictionary:
     return SortedDictionary(dtype=_ARRAY_DICTIONARY.get(dtype.code))
-
-
-def with_nulls(column: Column) -> Column:
-    """``column`` in the dtype of a column that holds a NULL: integers as
-    ``float64``, booleans as objects, anything else as it is."""
-    kind = column.dtype.kind
-    if kind in "iu":
-        return column.astype(np.float64)
-    return column.astype(object) if kind == "b" else column
 
 
 def _object_table(values: Sequence[Any]) -> np.ndarray:

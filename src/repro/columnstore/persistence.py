@@ -134,8 +134,8 @@ class PersistenceManager:
         try:
             with open(path, "rb") as handle:
                 return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError) as exc:
-            raise PersistenceError(f"corrupt physical savepoint: {exc}") from exc
+        except Exception as exc:  # unreadable, truncated, or naming a class that is gone
+            raise PersistenceError(f"cannot load physical savepoint {path}: {exc!r}") from exc
 
     def close(self) -> None:
         """Release the log handle."""

@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.columnstore.column import Column, DeltaColumn, MainColumn, with_nulls
+from repro.columnstore.column import Column, DeltaColumn, MainColumn
 from repro.columnstore.partition import PartitionSpec, SinglePartition
 from repro.core.schema import ColumnSpec, TableSchema
 from repro.core.types import DataType
@@ -42,7 +42,7 @@ from repro.errors import (
 )
 from repro.transaction.manager import Transaction
 from repro.transaction.mvcc import INF_CID, visible_mask
-from repro.util.arrays import Coded, GrowableArray
+from repro.util.arrays import Coded, GrowableArray, with_nulls
 
 #: Events delivered to table change listeners.
 EVENT_INSERT = "insert"

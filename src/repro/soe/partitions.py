@@ -23,26 +23,9 @@ import numpy as np
 
 from repro.errors import SoeError
 from repro.soe.cluster import approx_row_bytes
-from repro.sql.expressions import Coded, Column, compare, python_values
+from repro.sql.expressions import Coded, Column, compare, concat_columns, python_values
 from repro.sql.kernels import group_ids, nulls
-
-
-def _typed_array(values: list[Any]) -> np.ndarray | None:
-    """Python values as a typed array — ``int64``, ``bool``, or ``float64``
-    with NULL as NaN — or None when they need a dictionary: strings, a NULL
-    among integers (``float64`` would round them), mixed types, integers
-    beyond ``int64``."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            return None
-    if kinds == {bool}:
-        return np.array(values, dtype=bool)
-    if float in kinds and kinds <= {float, type(None)}:
-        return np.array(values, dtype=np.float64)
-    return None
+from repro.util.arrays import typed_array
 
 
 class PrepackagedPartition:
@@ -51,9 +34,10 @@ class PrepackagedPartition:
     A write appends to per-column Python lists and nothing else. A column
     is put in array form when a query first reads it, and after later
     writes only the values appended since are encoded and joined to the
-    array: integers, floats and booleans as a typed array, anything else as
-    codes into the column's append dictionary. Columns no query touches are
-    never encoded.
+    array: a typed array where the values-to-column rule of
+    :mod:`repro.util.arrays` gives one, and where it leaves ``object``
+    (strings, an integer beside a NULL) codes into the column's append
+    dictionary. Columns no query touches are never encoded.
     """
 
     def __init__(self, table: str, partition_id: int, columns: Sequence[str]) -> None:
@@ -123,9 +107,10 @@ class PrepackagedPartition:
         fit the stored array's type, which re-codes the column, once."""
         stored = self._stored[name]
         if not isinstance(stored, Coded):
-            tail = _typed_array(values)
-            if tail is not None and (stored is None or stored.dtype == tail.dtype):
-                return tail if stored is None else np.concatenate([stored, tail])
+            tail = typed_array(values)
+            joined = tail if stored is None or tail is None else concat_columns([stored, tail])
+            if joined is not None and joined.dtype != object:  # integers then floats join as floats
+                return joined
             if stored is not None:
                 values = python_values(stored) + values
             self._codes[name] = {}

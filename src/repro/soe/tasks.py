@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import CoordinationError
 from repro.soe.cluster import approx_column_bytes
 from repro.sql.expressions import Batch, Column, concat_columns, python_values
-from repro.sql.kernels import group_ids, reduce_states
+from repro.sql.kernels import finalize, group_ids, reduce_states
 
 
 @dataclass(frozen=True)
@@ -140,18 +140,11 @@ class GroupStates:
         return GroupStates.reduce(keys, groups, states, aggregates, one_row=not key_count)
 
     def rows(self, aggregates: Sequence[AggregateSpec]) -> list[list[Any]]:
-        """States → output rows: group key values then aggregate values,
-        ordered by the keys' reprs. An aggregate without a non-NULL input
-        is NULL (``count``: 0)."""
+        """States → output rows: group key values then aggregate values
+        (:func:`~repro.sql.kernels.finalize`), ordered by the keys' reprs."""
         columns = list(map(python_values, self.keys))
         for aggregate, (values, counts) in zip(aggregates, self.states):
-            if aggregate.op == "avg":
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    values = values / counts
-            elif aggregate.op != "count" and not counts.all():
-                values = values.astype(object)
-                values[counts == 0] = None
-            columns.append(python_values(values))
+            columns.append(python_values(finalize(aggregate.op, values, counts)))
         rows = list(map(list, zip(*columns))) if columns else [[] for _ in range(self.groups)]
         if not self.keys:
             return rows

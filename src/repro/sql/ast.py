@@ -7,7 +7,7 @@ pushdown serialiser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 
@@ -237,6 +237,29 @@ def and_together(conjuncts: Sequence[Expr]) -> Expr | None:
     for conjunct in conjuncts:
         result = conjunct if result is None else BinaryOp("AND", result, conjunct)
     return result
+
+
+#: each predicate operator's complement: where one holds the other fails,
+#: and a NULL operand fails both
+_COMPLEMENT = {"=": "<>", "<>": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">", "LIKE": "NOT LIKE"}
+
+
+def negate(expr: Expr) -> Expr | None:
+    """``NOT expr`` as a predicate that holds where ``expr`` is FALSE and
+    fails where it is TRUE or UNKNOWN (three-valued logic): a comparison,
+    LIKE, IN, BETWEEN or IS NULL by its complement, AND and OR by De
+    Morgan, ``NOT e`` by ``e``. None where ``expr`` is a value, not one of
+    these, which NOT negates itself. Both engines evaluate NOT through it."""
+    if isinstance(expr, UnaryOp) and expr.op == "NOT":
+        return expr.operand
+    if isinstance(expr, BinaryOp) and expr.op in ("AND", "OR"):
+        left, right = (negate(side) or UnaryOp("NOT", side) for side in (expr.left, expr.right))
+        return BinaryOp("OR" if expr.op == "AND" else "AND", left, right)
+    if isinstance(expr, BinaryOp) and expr.op in _COMPLEMENT:
+        return BinaryOp(_COMPLEMENT[expr.op], expr.left, expr.right)
+    if isinstance(expr, (InList, Between, IsNull)):
+        return replace(expr, negated=not expr.negated)
+    return None
 
 
 # --------------------------------------------------------------------------

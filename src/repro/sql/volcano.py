@@ -37,6 +37,7 @@ from repro.errors import ExpressionError, PlanError
 from repro.sql import ast
 from repro.sql import feedback as fb
 from repro.sql.context import ExecutionContext
+from repro.sql.expressions import python_values
 from repro.sql.planner import (
     AggregateNode,
     DistinctNode,
@@ -67,9 +68,12 @@ def eval_row(expr: ast.Expr, row: Row, context: ExecutionContext) -> Any:
     if isinstance(expr, ast.ColumnRef):
         return _resolve(row, expr)
     if isinstance(expr, ast.UnaryOp):
+        complement = ast.negate(expr.operand) if expr.op == "NOT" else None
+        if complement is not None:
+            return bool(eval_row(complement, row, context))
         value = eval_row(expr.operand, row, context)
-        if expr.op == "NOT":
-            return not bool(value)
+        if expr.op == "NOT":  # of a value: NOT NULL is NULL, not true
+            return value is not None and not value
         return None if value is None else -value
     if isinstance(expr, ast.BinaryOp):
         return _eval_binary(expr, row, context)
@@ -101,13 +105,7 @@ def eval_row(expr: ast.Expr, row: Row, context: ExecutionContext) -> Any:
         args = [
             np.asarray([eval_row(arg, row, context)], dtype=object) for arg in expr.args
         ]
-        result = context.functions.call(expr.name, args, 1, context)
-        value = result[0]
-        if isinstance(value, np.generic):
-            value = value.item()
-        if isinstance(value, float) and value != value:
-            return None
-        return value
+        return python_values(context.functions.call(expr.name, args, 1, context))[0]
     raise ExpressionError(f"cannot interpret {type(expr).__name__}")
 
 
@@ -136,11 +134,11 @@ def _eval_binary(expr: ast.BinaryOp, row: Row, context: ExecutionContext) -> Any
     right = eval_row(expr.right, row, context)
     if op == "||":
         return None if left is None or right is None else f"{left}{right}"
-    if op == "LIKE":
+    if op in ("LIKE", "NOT LIKE"):
         if left is None or right is None:
             return False
         pattern = re.escape(str(right)).replace("%", ".*").replace("_", ".")
-        return re.match(f"^{pattern}$", str(left), re.DOTALL) is not None
+        return (re.match(f"^{pattern}$", str(left), re.DOTALL) is None) == (op == "NOT LIKE")
     if left is None or right is None:
         return False if op in ("=", "<>", "<", "<=", ">", ">=") else None
     if op == "=":

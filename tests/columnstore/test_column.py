@@ -19,11 +19,11 @@ def test_main_build_and_decode_ints():
     assert list(array) == [3, 1, 2, 1]
 
 
-def test_main_with_nulls_decodes_to_float_nan():
+def test_main_with_nulls_decodes_to_exact_integers():
     column = MainColumn.build(types.INTEGER, [1, None, 3])
     array = everything(column)
-    assert array.dtype == np.float64
-    assert np.isnan(array[1])
+    assert array.dtype == object
+    assert [(type(value), value) for value in array] == [(int, 1), (type(None), None), (int, 3)]
 
 
 def test_main_strings_decode_to_objects():

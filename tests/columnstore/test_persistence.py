@@ -229,3 +229,16 @@ def test_replay_of_a_large_delete_is_linear(tmp_path):
     elapsed = time.perf_counter() - started
     assert recovered.execute("SELECT COUNT(*), MAX(a) FROM t").rows == [[12000, 11999]]
     assert elapsed < 1.0, f"reopen took {elapsed:.2f} s"
+
+
+def test_a_savepoint_naming_a_missing_class_raises_persistence_error(tmp_path):
+    from repro.errors import PersistenceError
+
+    database = Database(data_dir=tmp_path)
+    database.execute("CREATE TABLE t (id INT)")
+    database.physical_savepoint()
+    database.persistence.close()
+    # a pickle naming a class this build does not have: one GLOBAL opcode, then STOP
+    (tmp_path / "savepoint.phys").write_bytes(b"crepro.util.arrays\nGrowableInt64\n.")
+    with pytest.raises(PersistenceError, match=r"savepoint\.phys.*GrowableInt64"):
+        Database(data_dir=tmp_path)

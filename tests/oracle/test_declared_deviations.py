@@ -73,3 +73,12 @@ def test_integer_overflow_is_refused_not_wrapped(value, expr, at_five):
     assert isinstance(oracle.execute(f"SELECT {expr} FROM big").fetchone()[0], float)  # sqlite: a REAL
     database.execute("UPDATE big SET n = 5")
     assert database.execute(f"SELECT {expr} FROM big").rows == [[at_five]]  # in range: exact
+
+
+def test_a_case_mixing_int_and_double_branches_answers_double(pair):
+    database, oracle = pair
+    sql = "SELECT CASE WHEN a = 1 THEN 5 ELSE 2.5 END FROM t WHERE a IS NOT NULL ORDER BY a"
+    ours = [row[0] for row in database.execute(sql).rows]
+    assert [(type(v), v) for v in ours] == [(float, 5.0), (float, 2.5)]  # one dtype per column
+    theirs = [row[0] for row in oracle.execute(sql)]
+    assert [(type(v), v) for v in theirs] == [(int, 5), (float, 2.5)]  # sqlite: each row its own

@@ -98,7 +98,7 @@ def test_both_stacks_run_the_same_kernel_functions():
                 assert getattr(module, name) is getattr(kernels, name), (module.__name__, name)
                 if module is not executor:
                     soe_side.add(name)
-    for name in ("match_keys", "group_ids", "join_pairs", "grouped_sum", "grouped_extreme"):
+    for name in ("match_keys", "group_ids", "join_pairs", "grouped_sum", "reduce_states"):
         assert hasattr(executor, name), name
     assert {"match_keys", "group_ids", "join_pairs", "reduce_states"} <= soe_side
     # ... and neither keeps a private copy under the old names

@@ -4,8 +4,9 @@ A point read pays for the rows it selects, not for the size of the delta
 next to them: a scan hands the delta fragment only the positions that
 reach into it — to test a conjunct (``DeltaColumn.mask``) or to read a
 column (``DeltaColumn.take``) — and never the whole fragment. The dtype
-contract does not move: an INTEGER column whose delta holds a NULL
-anywhere is ``float64``, exactly as ``column_array(name)[positions]`` is.
+contract does not move: an INTEGER column holding a NULL anywhere reads as
+exact Python integers beside ``None`` (``object``), exactly as
+``column_array(name)[positions]`` does.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def test_filter_on_delta_rows_gathers_only_the_candidates(database, gathered):
 
 
 @pytest.mark.parametrize("null_at", ["delta", "main"])
-def test_an_integer_column_with_a_null_reads_as_float64(null_at):
+def test_an_integer_column_with_a_null_reads_as_exact_integers(null_at):
     db = Database()
     db.execute("CREATE TABLE n (id INT PRIMARY KEY, v INT)")
     main_rows = [[i, None if (null_at == "main" and i == 3) else i * 10] for i in range(20)]
@@ -100,7 +101,8 @@ def test_an_integer_column_with_a_null_reads_as_float64(null_at):
     db.commit(txn)
     partition = db.table("n").partitions[0]
     whole = partition.column_array("v")
-    assert whole.dtype == np.float64
+    assert whole.dtype == object
+    assert {type(value) for value in whole} == {int, type(None)}
     for positions in ([1, 2], [1, 22], [21, 25], [], [3, 27]):
         picked = np.asarray(positions, dtype=np.int64)
         got = partition.take("v", picked)

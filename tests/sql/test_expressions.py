@@ -183,8 +183,8 @@ def test_concat_operator(batch, context):
 
 def test_case_narrowing_numeric(batch, context):
     result = eval_text("CASE WHEN b > 20 THEN 1 ELSE 0 END", batch, context)
-    assert result.dtype == np.float64
-    assert list(result) == [0.0, 0.0, 1.0, 1.0]
+    assert result.dtype == np.int64
+    assert list(result) == [0, 0, 1, 1]
 
 
 def test_unary_minus_object_and_numeric(batch, context):
