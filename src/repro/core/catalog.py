@@ -51,10 +51,6 @@ class Catalog:
     def tables(self) -> Iterator[Any]:
         return iter(self._tables.values())
 
-    @property
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
     # -- engine views -----------------------------------------------------------
 
     def register_view(self, name: str, view: Any) -> None:
@@ -62,9 +58,6 @@ class Catalog:
         if key in self._views:
             raise DuplicateObjectError(f"view already exists: {name!r}")
         self._views[key] = view
-
-    def drop_view(self, name: str) -> None:
-        self._views.pop(name.lower(), None)
 
     def view(self, name: str) -> Any:
         try:

@@ -142,10 +142,6 @@ class DataType:
             return values
         return [self.coerce(value) for value in values]
 
-    def sort_key(self, value: Any) -> Any:
-        """Return a totally-ordered key for dictionary sorting."""
-        return value
-
 
 def _non_null(values: list[Any]) -> list[Any]:
     return [value for value in values if value is not None] if None in values else values

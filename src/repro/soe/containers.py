@@ -59,9 +59,6 @@ class ServiceContainer:
                 f"its memory limit and was killed"
             )
 
-    def release_memory(self, amount: int) -> None:
-        self.memory_used = max(0, self.memory_used - amount)
-
 
 class ContainerRuntime:
     """Places and supervises service containers on cluster nodes."""
@@ -170,13 +167,6 @@ class ContainerRuntime:
         return replacement
 
     # -- introspection ----------------------------------------------------------------
-
-    def containers_on(self, node_id: str) -> list[ServiceContainer]:
-        return [
-            container
-            for container in self._containers.values()
-            if container.node_id == node_id and container.state == "RUNNING"
-        ]
 
     def statistics(self) -> dict[str, Any]:
         by_state: dict[str, int] = {}

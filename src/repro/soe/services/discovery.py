@@ -124,10 +124,6 @@ class DiscoveryService:
             raise ClusterError(f"no node announces service {service_kind!r}")
         return nodes[0]
 
-    def service_kinds(self) -> list[str]:
-        with self._lock:
-            return sorted(self._services)
-
 
 @track_fields("_grants", "_credentials")
 @dataclass

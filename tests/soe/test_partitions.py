@@ -20,6 +20,22 @@ def test_append_and_columns():
     assert list(partition.rows()) == [(1, "x"), (2, "y")]
 
 
+@pytest.mark.parametrize("read_between", [False, True])
+def test_integers_beside_floats_join_as_floats_only_where_exact(read_between):
+    """Integers then floats, in one batch or stored then appended, pack as
+    ``float64`` while it holds every integer; beyond 2**53 they stay exact."""
+    for big in (2**53, 2**53 + 1):
+        partition = PrepackagedPartition("t", 0, ["a"])
+        partition.append_row([big])
+        if read_between:
+            partition.column("a")
+        partition.append_row([0.5])
+        column = partition.column("a")
+        assert (column.dtype == "float64") == (big == 2**53)
+        assert [value for (value,) in partition.rows()] == [big, 0.5]
+        assert type(next(partition.rows())[0]) is (float if big == 2**53 else int)
+
+
 def test_row_width_validated():
     partition = PrepackagedPartition("t", 0, ["a", "b"])
     with pytest.raises(SoeError):
