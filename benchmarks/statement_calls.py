@@ -5,10 +5,14 @@ commits compare exactly where wall times need paired runs. The table is
 the harness's ``orders`` (its DDL, 50 000 loaded rows, merged). Each
 statement shape runs ``--run - 1`` times with other keys, then once
 under the profiler; the second run (the default) is a plan-cache hit
-for a write, and a re-plan for a query whose first run fed the
-cardinality feedback.
+for every shape here: a plan that no feedback can reorder (one table's,
+a write's) is not re-planned when the first run's feedback arrives.
 
-    PYTHONPATH=src python benchmarks/statement_calls.py [--run N]
+    PYTHONPATH=src python benchmarks/statement_calls.py [--run N] [--check]
+
+``--check`` counts the second and the third run and exits 1 when a
+point read or a grouped SUM costs more at the second: a cached plan's
+second run must cost what every later one does.
 """
 
 from __future__ import annotations
@@ -41,10 +45,12 @@ STATEMENTS = {
 }
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--run", type=int, default=2, help="which run to profile (1-10)")
-    run = parser.parse_args().run
+#: the shapes whose second run ``--check`` holds to the cost of their third
+CHECKED = ("point read", "grouped SUM")
+
+
+def measure(run: int) -> dict[str, int]:
+    """The calls of each statement's ``run``-th run, on a fresh database."""
     db = Database()
     db.execute(DDL)
     rng = random.Random(1)
@@ -68,9 +74,30 @@ def main() -> None:
         # summed per code object: ``pstats`` merges code objects that share
         # a (file, line, name) key, such as comprehensions on one line
         counts[name] = sum(entry.callcount for entry in profile.getstats())
-        print(f"{name}: {counts[name]}")
+    return counts
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--run", type=int, default=2, help="which run to profile (1-10)")
+    parser.add_argument(
+        "--check", action="store_true", help="fail when a run 2 costs more than its run 3"
+    )
+    args = parser.parse_args()
+    counts = measure(args.run)
+    for name, count in counts.items():
+        print(f"{name}: {count}")
     print(f"UPDATE / point read: {counts['keyed UPDATE'] / counts['point read']:.2f}")
+    if not args.check:
+        return 0
+    second, third = (counts, measure(3)) if args.run == 2 else (measure(2), measure(3))
+    failed = False
+    for name in CHECKED:
+        ok = second[name] <= third[name]
+        failed = failed or not ok
+        print(f"{'ok' if ok else 'FAIL'}: {name} costs {second[name]} calls at run 2, {third[name]} at run 3")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

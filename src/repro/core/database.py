@@ -38,7 +38,7 @@ from repro.sql.feedback import CardinalityFeedback, ReplanSignal
 from repro.sql.functions import FunctionRegistry
 from repro.sql.lexer import shape
 from repro.sql.parser import parse
-from repro.sql.planner import PLANNED_STATEMENTS, QueryPlan, WriteNode, plan_select
+from repro.sql.planner import PLANNED_STATEMENTS, QueryPlan, WriteNode, join_order, plan_select
 from repro.transaction.manager import Transaction, TransactionManager
 
 PruningHook = Callable[[ColumnTable, list[ast.Expr], ExecutionContext], set[int] | None]
@@ -174,7 +174,7 @@ class Database:
         if shaped is None:
             return self.execute_statement(parse(sql), txn, parameters, budget)
         key, values = shaped
-        entry = self.plan_cache.get(key, self.feedback, values)
+        entry = self.plan_cache.get(key, self.feedback, values, self._keeps_join_order)
         if entry is None:
             sources: list[Any] = []
             statement = parse(sql, sources)
@@ -289,9 +289,9 @@ class Database:
         with its own values bound — what every cache hit relies on, and
         what :func:`repro.analysis.plancheck.verify_entry` proves before
         the plan is cached. A plan that fails it is not cached, and a
-        statement with other values is then planned as itself. A query's
-        entry snapshots the feedback versions it was planned under; a
-        write is planned without feedback and snapshots none.
+        statement with other values is then planned as itself. Only a plan
+        that records a join order snapshots the feedback versions it was
+        planned under: feedback cannot reshape any other.
         """
         with obs.latency("sql.plan_seconds"):
             plan = plan_select(template.statement, self.catalog, feedback=self.feedback)
@@ -300,7 +300,7 @@ class Database:
             plan=plan,
             slots=slots,
             tables=tables,
-            versions=self.feedback.versions(tables) if template.is_query else None,
+            versions=None if plan.join_order is None else self.feedback.versions(tables),
             template=template,
         )
         entry.seal = plancheck.entry_seal(entry)
@@ -309,6 +309,10 @@ class Database:
         if not mapping:
             return plan
         return self._plan(template.statement_for(mapping))
+
+    def _keeps_join_order(self, entry: plancache.PlanEntry) -> bool:
+        """Would today's feedback join as ``entry``'s plan does?"""
+        return join_order(entry.template.statement, self.catalog, self.feedback) == entry.plan.join_order
 
     def _cache_entry(self, key: str, entry: plancache.PlanEntry) -> bool:
         """Verify a sealed entry and cache it; False when it was refused."""

@@ -893,18 +893,19 @@ def _compute_aggregate(
     name = call.name.upper()
     star = name == "COUNT" and (not call.args or isinstance(call.args[0], ast.Star))
     column = None if star else _operand(call.args[0], child, context)
-    if name in ("COUNT", "SUM", "AVG", "MIN", "MAX") and not (call.distinct and name == "COUNT"):
+    if call.distinct and not star:  # the first row of each (group, value) pair
+        (keys,), _ = match_keys([column])
+        valid = np.flatnonzero(~nulls(column))
+        distinct, dense = unique_inverse(keys[valid])
+        width = max(len(distinct), 1)
+        _pairs, first = np.unique(ids[valid] * width + dense, return_index=True)
+        rows = valid[np.sort(first)]
+        column, ids = column[rows], ids[rows]
+    if name in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
         op = name.lower()  # reduced as the SOE reduces
         return finalize(op, *reduce_states(op, column, None, ids, group_count))
 
     valid = ~nulls(column)
-    if name == "COUNT":  # DISTINCT
-        (keys,), _ = match_keys([column])
-        distinct, dense = unique_inverse(keys[valid])
-        width = max(len(distinct), 1)
-        pairs, _ = unique_inverse(ids[valid] * width + dense)  # one per (group, value)
-        return grouped_count(pairs // width, group_count)
-
     if name in ("STDDEV", "VAR", "MEDIAN"):
         values = column.decode() if isinstance(column, Coded) else column
         numeric = as_float(values)

@@ -295,9 +295,11 @@ def evaluate(expr: ast.Expr, batch: Batch, context: ExecutionContext) -> np.ndar
     if isinstance(expr, ast.InList):
         operand = evaluate(expr.operand, batch, context)
         result = np.zeros(len(batch), dtype=bool)
-        for item in expr.items:
-            result |= compare(operand, evaluate(item, batch, context), "=")
-        return ~result & ~is_null_mask(operand) if expr.negated else result
+        unknown = is_null_mask(operand)  # where no match is UNKNOWN, not FALSE
+        for value in (evaluate(item, batch, context) for item in expr.items):
+            result |= compare(operand, value, "=")
+            unknown |= is_null_mask(value)
+        return ~result & ~unknown if expr.negated else result
     if isinstance(expr, ast.Between):
         operand = evaluate(expr.operand, batch, context)
         low = evaluate(expr.low, batch, context)

@@ -45,12 +45,12 @@ parse (a parse depends on the text alone):
 
 * *explicit* — ``invalidate_table()`` on DDL (CREATE/DROP) and on delta
   merge, since a merge changes partition layout and the cost picture;
-* *feedback staleness* — a query's entry snapshots the per-table
-  versions of the :class:`~repro.sql.feedback.CardinalityFeedback`
-  store; when a table's observed cardinalities change significantly the
-  version moves and the entry is re-planned on next lookup. A write is
-  planned without feedback, so its entry snapshots nothing and never
-  goes stale.
+* *feedback staleness* — a plan that records a join order snapshots the
+  per-table :class:`~repro.sql.feedback.CardinalityFeedback` versions.
+  When one moves, the next lookup asks its caller whether the join order
+  still holds: if so the plan stays under a fresh snapshot, else it is
+  re-planned. A plan with no order (one table's, a write's) snapshots
+  nothing and never goes stale.
 
 Hits, misses, evictions, staleness drops, and invalidations are all
 counted through :mod:`repro.obs` (``sql.plancache.*``). Hits and misses
@@ -63,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro import obs
@@ -354,8 +354,8 @@ class PlanEntry:
     plan: Any  # a planner PlanNode tree
     slots: list[ast.Literal]  # literal leaves the plan references, in order
     tables: frozenset[str]  # base tables the plan reads or writes
-    #: feedback snapshot; ``None`` for a plan made without feedback (a write's)
-    versions: dict[str, int] | None = field(default_factory=dict)
+    #: feedback snapshot; ``None`` for a plan with no join order to re-check
+    versions: dict[str, int] | None = None
     #: the containers between the plan root and each slot literal, with
     #: the fields on the way (:func:`slot_spine`); precomputed so
     #: :func:`bind_plan` rebuilds only this spine
@@ -548,13 +548,11 @@ class PlanCache:
     def _planned(self) -> int:
         return sum(1 for entry in self._entries.values() if entry.plan is not None)
 
-    def _drop_plan(self, key: str | tuple[str, tuple], entry: PlanEntry) -> PlanEntry | None:
-        kept = entry.without_plan()
-        if kept is None:
+    def _replace(self, key: str | tuple[str, tuple], entry: PlanEntry | None) -> None:
+        if entry is None:
             del self._entries[key]
         else:
-            self._entries[key] = kept
-        return kept
+            self._entries[key] = entry
 
     def _variant(self, key: str, values: Sequence[Any] | None) -> str | tuple[str, tuple]:
         """Where the entry of ``key`` with these literal values is kept."""
@@ -569,18 +567,19 @@ class PlanCache:
         key: str,
         feedback: "CardinalityFeedback | None" = None,
         values: Sequence[Any] | None = None,
+        keeps_plan: Callable[[PlanEntry], bool] | None = None,
     ) -> PlanEntry | None:
         """Look up a shape — with ``values`` (a text's literal values), the
         entry of their fixed-token variant.
 
-        An entry whose feedback snapshot no longer matches (the table's
-        observed cardinalities moved) loses its plan. A query entry counts
-        a hit when it has a plan and a miss when it has none (returned:
-        its parse is still good); any entry holding a parse counts a parse
-        hit. An absent key counts a miss only without ``values``: a text's
-        shape may be a write's, which hits and misses do not count, so
-        that caller reports the miss (:meth:`miss`) once its parse shows a
-        query.
+        An entry whose feedback snapshot no longer matches loses its plan,
+        unless ``keeps_plan(entry)``, asked outside the lock, keeps it under
+        the fresh snapshot. A query entry counts a hit when it has a plan
+        and a miss when it has none (returned: its parse is still good);
+        any entry holding a parse counts a parse hit. An absent key counts a
+        miss only without ``values``: a text's shape may be a write's, which
+        hits and misses do not count, so that caller reports the miss
+        (:meth:`miss`) once its parse shows a query.
         """
         with self._lock:
             variant = self._variant(key, values)
@@ -589,25 +588,31 @@ class PlanCache:
                 if values is None:
                     self._count_miss()
                 return None
-            if entry.tables and entry.versions is not None and feedback is not None:
-                if feedback.versions(entry.tables) != entry.versions:
-                    entry = self._drop_plan(variant, entry)
-                    self.stale += 1
-                    obs.count("sql.plancache.stale")
-                    if entry is None:
+            versions = entry.versions
+            if versions is not None and feedback is not None:
+                versions = feedback.versions(entry.tables)
+            if versions == entry.versions:
+                self._entries.move_to_end(variant)
+                if entry.template is not None:
+                    self.parse_hits += 1
+                    obs.count("sql.plancache.parse_hits")
+                if entry.template is None or entry.template.is_query:
+                    if entry.plan is None:
                         self._count_miss()
-                        return None
-            self._entries.move_to_end(variant)
-            if entry.template is not None:
-                self.parse_hits += 1
-                obs.count("sql.plancache.parse_hits")
-            if entry.template is None or entry.template.is_query:
-                if entry.plan is None:
-                    self._count_miss()
-                else:
-                    self.hits += 1
-                    obs.count("sql.plancache.hits")
-            return entry
+                    else:
+                        self.hits += 1
+                        obs.count("sql.plancache.hits")
+                return entry
+        kept = entry.plan is not None and keeps_plan is not None and keeps_plan(entry)
+        with self._lock:
+            if not kept:
+                self.stale += 1
+                obs.count("sql.plancache.stale")
+            if self._entries.get(variant) is entry:  # not replaced meanwhile
+                self._replace(
+                    variant, dataclasses.replace(entry, versions=versions) if kept else entry.without_plan()
+                )
+        return self.get(key, None, values)  # counted as the entry now stands
 
     def miss(self) -> None:
         """Count a plan miss on a query text whose shape :meth:`get` did
@@ -647,7 +652,7 @@ class PlanCache:
                 (key, entry) for key, entry in self._entries.items() if table in entry.tables
             ]
             for key, entry in victims:
-                self._drop_plan(key, entry)
+                self._replace(key, entry.without_plan())
             if victims:
                 self.invalidations += len(victims)
                 obs.count("sql.plancache.invalidations", len(victims))

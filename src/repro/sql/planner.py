@@ -272,6 +272,8 @@ class QueryPlan:
 
     root: PlanNode
     output_names: list[str]
+    #: each select's join order, if feedback may reorder it; else ``None``
+    join_order: tuple[tuple[str, ...], ...] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -362,6 +364,24 @@ def plan_select(statement: Any, catalog: Any, feedback: "fb.CardinalityFeedback 
     raise PlanError(f"cannot plan a {type(statement).__name__}")
 
 
+def join_order(
+    statement: Any, catalog: Any, feedback: "fb.CardinalityFeedback"
+) -> tuple[tuple[str, ...], ...] | None:
+    """The ``join_order`` :func:`plan_select` would record for a query
+    now, from the join-order decision alone: nothing is planned."""
+    planner = _Planner(CatalogView(catalog), feedback)
+
+    def visit(select: ast.SelectStatement) -> None:  # in the order plan() meets them
+        planner._maybe_reorder_joins(select)
+        for ref in [select.from_table, *(clause.table for clause in select.joins)]:
+            if ref is not None and ref.subquery is not None:
+                visit(ref.subquery)
+
+    for select in getattr(statement, "selects", [statement]):
+        visit(select)
+    return tuple(planner.orders) or None
+
+
 def _plan_write(statement: Any, catalog: Any) -> QueryPlan:
     """``WriteNode`` over the rows the statement writes (see the module
     docstring). Names the target does not have are refused here, as the
@@ -444,7 +464,7 @@ def _plan_union(
         tree = SortNode(tree, sort_keys)
     if statement.limit is not None or statement.offset is not None:
         tree = LimitNode(tree, statement.limit, statement.offset)
-    return QueryPlan(tree, output_names)
+    return QueryPlan(tree, output_names, tuple(o for plan in plans for o in plan.join_order or ()) or None)
 
 
 class _Planner:
@@ -454,6 +474,8 @@ class _Planner:
         self._catalog = catalog
         self._feedback = feedback
         self._counter = 0
+        #: each reorderable select's join order, in planning order
+        self.orders: list[tuple[str, ...]] = []
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -468,7 +490,9 @@ class _Planner:
         # stars expand against the statement as written: a join order
         # chosen from feedback must not reorder the answer's columns
         items = self._expand_items(statement)
-        statement = self._maybe_reorder_joins(statement)
+        statement, written = self._maybe_reorder_joins(statement), statement
+        if statement is not written:
+            obs.count("sql.planner.reorders")
 
         sources: dict[str, PlanNode] = {}
         source_order: list[str] = []
@@ -593,7 +617,7 @@ class _Planner:
         if statement.limit is not None or statement.offset is not None:
             tree = LimitNode(tree, statement.limit, statement.offset)
         _prune_scan_columns(tree)
-        return QueryPlan(tree, output_names)
+        return QueryPlan(tree, output_names, tuple(self.orders) or None)
 
     # -- cardinality estimates & feedback-driven join order ------------------
 
@@ -656,7 +680,8 @@ class _Planner:
         turning into hash joins. The reordered statement expresses every
         join as a cross clause with all conjuncts pooled in WHERE — the
         regular pushdown + cross→inner upgrade machinery then re-derives
-        the equi joins for the new order.
+        the equi joins for the new order. A statement it could reorder
+        records the order it keeps or chooses on ``self.orders``.
         """
         feedback = self._feedback
         if feedback is None or statement.from_table is None or not statement.joins:
@@ -668,6 +693,7 @@ class _Planner:
             return statement
         if len({ref.alias for ref in refs}) != len(refs):
             return statement
+        self.orders.append(tuple(ref.alias for ref in refs))  # the written order, unless reordered
 
         pool: list[ast.Expr] = list(ast.split_conjuncts(statement.where))
         for clause in statement.joins:
@@ -730,7 +756,7 @@ class _Planner:
         # executions flip-flop between orders for marginal gain
         if estimates[ordered[0].alias] * 2.0 > estimates[refs[0].alias]:
             return statement
-        obs.count("sql.planner.reorders")
+        self.orders[-1] = tuple(ref.alias for ref in ordered)
         return dataclass_replace(
             statement,
             from_table=ordered[0],

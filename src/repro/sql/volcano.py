@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.columnstore.table import ColumnTable
-from repro.errors import ExpressionError, PlanError
+from repro.errors import ExpressionError, PlanError, TypeMismatchError
 from repro.sql import ast
 from repro.sql import feedback as fb
 from repro.sql.context import ExecutionContext
@@ -84,8 +84,8 @@ def eval_row(expr: ast.Expr, row: Row, context: ExecutionContext) -> Any:
         value = eval_row(expr.operand, row, context)
         if value is None:
             return False
-        hit = any(eval_row(item, row, context) == value for item in expr.items)
-        return (not hit) if expr.negated else hit
+        items = [eval_row(item, row, context) for item in expr.items]  # beside a NULL item, no match is UNKNOWN
+        return (value not in items and None not in items) if expr.negated else value in items
     if isinstance(expr, ast.Between):
         value = eval_row(expr.operand, row, context)
         low = eval_row(expr.low, row, context)
@@ -364,12 +364,12 @@ def _accumulate(
     value = eval_row(call.args[0], row, context)
     if value is None:
         return
+    if call.distinct:
+        seen = distinct_seen.setdefault((key, index), set())
+        if value in seen:
+            return
+        seen.add(value)
     if name == "COUNT":
-        if call.distinct:
-            seen = distinct_seen.setdefault((key, index), set())
-            if value in seen:
-                return
-            seen.add(value)
         state[index] += 1
     elif name == "SUM":
         state[index] = value if state[index] is None else state[index] + value
@@ -390,6 +390,8 @@ def _finalise(state: Any, call: ast.FunctionCall) -> Any:
     if call.name == "AVG":
         total, count = state
         return total / count if count else None
+    if call.name == "SUM" and type(state) is int and not -(2**63) <= state < 2**63:
+        raise TypeMismatchError(f"BIGINT out of range: {state}")
     return state
 
 

@@ -9,8 +9,8 @@ type, since ``10 == 10.0`` would let a float through a value comparison.
 The rows are held in the delta, merged into main, half of each, or in a
 row table, and every query runs through the vectorised and the compiled
 driver. The SOE answers SUM and MAX over the same column as the core does.
-An integer SUM beyond BIGINT is refused in both, as sqlite3 refuses it,
-never wrapped; AVG over the same values answers sqlite3's float.
+An integer SUM beyond BIGINT is refused in both and in Volcano, as sqlite3
+refuses it, never wrapped; AVG over the same values answers sqlite3's float.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.soe.engine import SoeEngine
 from repro.sql.compiler import compile_plan
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
+from repro.sql.volcano import execute_volcano
 
 #: (id, x, g): group 3 holds only a NULL x
 A_ROWS = [(1, 10, 1), (2, None, 1), (3, 7, 2), (4, None, 3)]
@@ -143,6 +144,17 @@ def test_an_integer_sum_beyond_bigint_is_refused_and_its_average_answered(big_or
     assert _typed(database.execute(average).rows) == expected
     in_range = total.replace("FROM big", "FROM big WHERE g = 2")
     assert _typed(database.execute(in_range).rows) == _typed(big_oracle.execute(in_range).fetchall())
+
+
+@pytest.mark.parametrize("storage", STORAGE)
+@pytest.mark.parametrize("total, average", BIG_QUERIES.items())
+def test_volcano_refuses_an_integer_sum_beyond_bigint_and_answers_its_average(big_oracle, storage, total, average):
+    database = _stored(storage, {"big": ("g INT, n BIGINT", BIG_ROWS)})
+    with pytest.raises(TypeMismatchError, match="BIGINT out of range"):
+        execute_volcano(plan_select(parse(total), database.catalog), database._context(None, None))
+    expected = _typed(big_oracle.execute(average).fetchall())
+    plan = plan_select(parse(average), database.catalog)
+    assert _typed(execute_volcano(plan, database._context(None, None))) == expected
 
 
 @pytest.mark.parametrize("group_by", [[], ["g"]])
